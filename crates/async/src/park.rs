@@ -57,10 +57,11 @@
 //! observe identical values run after run; all state values are likewise
 //! small constants.
 
-use rmr_mutex::mem::{Backend, Ordering as MemOrdering, SharedWord};
+use rmr_mutex::mem::{Backend, Ordering as MemOrdering, SharedWord, Site};
 use rmr_mutex::{spin_until, CachePadded};
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::task::Waker;
 
 /// How an executor waits between polls, and how anyone wakes it.
@@ -491,7 +492,7 @@ impl<B: Backend> WakerTable<B> {
         // this skip check runs after the caller's raw release, and must
         // not be reordered before it or a just-announced parker is
         // stranded. SeqCst.
-        if self.parked_writers.load(MemOrdering::SeqCst) == 0 {
+        if self.none_parked(&self.parked_writers) {
             return 0;
         }
         self.wake_matching(false, true)
@@ -503,7 +504,7 @@ impl<B: Backend> WakerTable<B> {
     /// delivered.
     pub fn wake_readers(&self) -> usize {
         // Site AS-COUNT: SeqCst skip check, as in `wake_writers`.
-        if self.parked_readers.load(MemOrdering::SeqCst) == 0 {
+        if self.none_parked(&self.parked_readers) {
             return 0;
         }
         self.wake_matching(true, false)
@@ -514,12 +515,17 @@ impl<B: Backend> WakerTable<B> {
     /// delivered.
     pub fn wake_all(&self) -> usize {
         // Site AS-COUNT: SeqCst skip checks, as in `wake_writers`.
-        if self.parked_readers.load(MemOrdering::SeqCst) == 0
-            && self.parked_writers.load(MemOrdering::SeqCst) == 0
-        {
+        if self.none_parked(&self.parked_readers) && self.none_parked(&self.parked_writers) {
             return 0;
         }
         self.wake_matching(true, true)
+    }
+
+    /// A wake scan's skip check (site AS-COUNT): nothing of this kind is
+    /// parked.
+    fn none_parked(&self, count: &B::Word) -> bool {
+        B::site(Site::AsCount);
+        count.load(MemOrdering::SeqCst) == 0
     }
 
     fn wake_matching(&self, include_readers: bool, include_writers: bool) -> usize {
@@ -576,8 +582,17 @@ impl<B: Backend> WakerTable<B> {
             }
         });
         let woken = wakers.len();
+        // Every waker here is already claimed and unthreaded: no later
+        // release can reach it. So a panicking `wake()` must not strand
+        // the rest — deliver them all, then re-raise the first panic.
+        let mut panicked = None;
         for waker in wakers {
-            waker.wake();
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| waker.wake())) {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
         }
         woken
     }
@@ -666,6 +681,30 @@ mod tests {
         assert_eq!((table.parked_readers(), table.parked_writers()), (1, 0));
         assert_eq!(table.wake_all(), 1);
         assert_eq!(r.0.load(Ordering::SeqCst), 1);
+    }
+
+    /// A waker whose delivery panics.
+    struct PanickingWake;
+
+    impl Wake for PanickingWake {
+        fn wake(self: Arc<Self>) {
+            panic!("waker exploded");
+        }
+    }
+
+    #[test]
+    fn panicking_waker_does_not_strand_the_other_claimed_waiters() {
+        // The scan claims and unthreads both waiters before delivering, so
+        // no later release can reach the second one: it must be woken even
+        // though the first delivery (FIFO order) panics.
+        let table: WakerTable<Native> = WakerTable::new(2);
+        let (count, waker) = counting();
+        table.register(0, WaitKind::Writer, &Waker::from(Arc::new(PanickingWake)));
+        table.register(1, WaitKind::Reader, &waker);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| table.wake_all()));
+        assert!(caught.is_err(), "the waker's panic must still reach the caller");
+        assert_eq!(count.0.load(Ordering::SeqCst), 1, "second claimed waiter stranded");
+        assert_eq!((table.parked_readers(), table.parked_writers()), (0, 0));
     }
 
     #[test]

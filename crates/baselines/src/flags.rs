@@ -3,7 +3,7 @@
 
 use rmr_core::raw::{RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::Pid;
-use rmr_mutex::mem::{Backend, Native, Ordering, SharedBool};
+use rmr_mutex::mem::{Backend, Native, Ordering, SharedBool, Site};
 use rmr_mutex::CachePadded;
 use rmr_mutex::{spin_until, RawMutex, TtasLock};
 use std::fmt;
@@ -84,7 +84,8 @@ impl<B: Backend> RawRwLock for DistributedFlagRwLock<B> {
             // then scans the flags. SC of these four accesses is the whole
             // mutual-exclusion argument ("one of us observes the other"), so
             // both store/load pairs are SeqCst. Demoting this raise is the
-            // `WrongOrdering::DemoteFlagRaise` mutant (DESIGN.md §13).
+            // `Mutation::DemoteFlagRaise` fault row (DESIGN.md §13).
+            B::site(Site::BlFlags);
             flag.store(true, Ordering::SeqCst);
             if !self.writer_present.load(Ordering::SeqCst) {
                 // Flag-then-check: the writer's check-then-scan order
@@ -141,6 +142,7 @@ impl<B: Backend> RawTryReadLock for DistributedFlagRwLock<B> {
         let flag = &self.reader_flags[pid.index()];
         // One round of the blocking loop, with "park" replaced by "abort":
         // flag-then-check keeps the same visibility argument (site BL-FLAGS).
+        B::site(Site::BlFlags);
         flag.store(true, Ordering::SeqCst);
         if !self.writer_present.load(Ordering::SeqCst) {
             Some(())

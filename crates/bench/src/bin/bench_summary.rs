@@ -17,20 +17,19 @@ use rmr_baselines::{
     CentralizedRwLock, DistributedFlagRwLock, StdRwLock, TicketRwLock, TournamentRwLock,
 };
 use rmr_bench::cli::{json_string, BenchArgs};
+use rmr_bench::timing::passages;
 use rmr_bench::workloads::{
     run_async_mixed, run_async_writer_latency, run_mixed, run_snapshot_read_mostly, Workload,
 };
 use rmr_bravo::Bravo;
 use rmr_core::mwmr::{MwmrReaderPriority, MwmrStarvationFree, MwmrWriterPriority};
 use rmr_core::raw::RawRwLock;
-use rmr_core::registry::Pid;
 use rmr_core::swmr::SwmrWriterPriority;
 use rmr_core::Observed;
 use rmr_mutex::mem::SeqCstNative;
 use rmr_obs::{Metric, StatsRecorder};
 use rmr_swap::{RetireEager, Snapshot};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Stable schema identifier; see BENCH_SCHEMA.md. v2: `ops_per_sec` is
 /// the **best rep** (max over the timed repetitions), not the pooled
@@ -130,32 +129,16 @@ fn throughput<L: RawRwLock + 'static>(
     }
 }
 
+/// One timed rep per op (`reps = 1`): the trajectory blob's estimator.
 fn uncontended<L: RawRwLock>(
     out: &mut Vec<UncontendedEntry>,
     name: &'static str,
     lock: &L,
     iters: u32,
 ) {
-    let pid = Pid::from_index(0);
-    let mut time_op = |op: &'static str, f: &mut dyn FnMut()| {
-        for _ in 0..iters / 10 {
-            f(); // warm-up
-        }
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / f64::from(iters);
-        out.push(UncontendedEntry { lock: name, op, ns_per_op: ns });
-    };
-    time_op("read", &mut || {
-        let t = lock.read_lock(pid);
-        lock.read_unlock(pid, t);
-    });
-    time_op("write", &mut || {
-        let t = lock.write_lock(pid);
-        lock.write_unlock(pid, t);
-    });
+    let (read, write) = passages(lock, iters, 1);
+    out.push(UncontendedEntry { lock: name, op: "read", ns_per_op: read });
+    out.push(UncontendedEntry { lock: name, op: "write", ns_per_op: write });
 }
 
 fn main() {

@@ -26,6 +26,7 @@
 
 use rmr_baselines::TicketRwLock;
 use rmr_bench::cli::Table;
+use rmr_bench::timing::passages;
 use rmr_bench::workloads::{run_mixed, Workload};
 use rmr_bravo::{Bravo, BravoConfig};
 use rmr_core::mwmr::MwmrStarvationFree;
@@ -36,7 +37,6 @@ use rmr_core::Observed;
 use rmr_mutex::mem::{self, Counting};
 use rmr_obs::{Event, Metric, NoopRecorder, StatsRecorder};
 use std::sync::Arc;
-use std::time::Instant;
 
 struct Args {
     json: bool,
@@ -78,36 +78,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Best-of-reps nanoseconds per passage (same estimator as E18).
-fn time_passage(iters: u32, reps: u32, mut passage: impl FnMut()) -> f64 {
-    for _ in 0..iters / 10 {
-        passage();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            passage();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / f64::from(iters));
-    }
-    best
-}
-
-/// `(read ns/op, write ns/op)` for one lock instance.
-fn passages<L: RawRwLock>(lock: &L, iters: u32, reps: u32) -> (f64, f64) {
-    let pid = Pid::from_index(0);
-    let read = time_passage(iters, reps, || {
-        let t = lock.read_lock(pid);
-        lock.read_unlock(pid, t);
-    });
-    let write = time_passage(iters, reps, || {
-        let t = lock.write_lock(pid);
-        lock.write_unlock(pid, t);
-    });
-    (read, write)
 }
 
 /// The `Counting` tally of `n` read + `n` write passages on `lock`.

@@ -16,46 +16,11 @@
 
 use rmr_baselines::{DistributedFlagRwLock, TicketRwLock};
 use rmr_bench::cli::{BenchArgs, Table};
+use rmr_bench::timing::passages;
 use rmr_bravo::{Bravo, BravoConfig};
 use rmr_core::mwmr::{MwmrReaderPriority, MwmrStarvationFree, MwmrWriterPriority};
-use rmr_core::raw::RawRwLock;
-use rmr_core::registry::Pid;
 use rmr_core::swmr::{SwmrReaderPriority, SwmrWriterPriority};
 use rmr_mutex::mem::{Backend, Native, SeqCstNative};
-use std::time::Instant;
-
-/// Best-of-reps (minimum) nanoseconds per passage: an uncontended
-/// passage is deterministic work, so the minimum is the cleanest
-/// estimate of the instruction cost — every slower rep measured the
-/// host, not the lock.
-fn time_passage(iters: u32, reps: u32, mut passage: impl FnMut()) -> f64 {
-    for _ in 0..iters / 10 {
-        passage(); // warm-up
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            passage();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / f64::from(iters));
-    }
-    best
-}
-
-/// `(read ns/op, write ns/op)` for one lock instance.
-fn passages<L: RawRwLock>(lock: &L, iters: u32, reps: u32) -> (f64, f64) {
-    let pid = Pid::from_index(0);
-    let read = time_passage(iters, reps, || {
-        let t = lock.read_lock(pid);
-        lock.read_unlock(pid, t);
-    });
-    let write = time_passage(iters, reps, || {
-        let t = lock.write_lock(pid);
-        lock.write_unlock(pid, t);
-    });
-    (read, write)
-}
 
 struct RowPair {
     lock: &'static str,

@@ -8,4 +8,5 @@ pub mod cli;
 pub mod jsonio;
 pub mod real;
 pub mod tables;
+pub mod timing;
 pub mod workloads;

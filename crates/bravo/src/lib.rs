@@ -57,13 +57,14 @@
 //! publish precedes the scan and the writer waits for that slot — or the
 //! re-check observes the cleared flag and the reader retracts without
 //! ever entering. There is no third interleaving; the re-check after
-//! publish is the linchpin (and exactly what the seeded
-//! `SkipRevocationScan` mutant in `rmr-check` breaks). Every other
-//! access — bias pre-checks, the re-bias store, retract, counters — is
-//! deliberately weaker, with the justification written at each site; the
-//! `Sched` backend's `StoreBuffer` mode re-checks the whole protocol
-//! under store reordering, and the `WrongOrdering::DemoteBiasClear`
-//! mutant in `rmr-check` proves a demoted bias clear would be caught.
+//! publish is the linchpin (and exactly what `rmr-check`'s
+//! `SkipRevocationScan` fault row breaks, forcing every BR-SCAN load to
+//! read empty). Every other access — bias pre-checks, the re-bias store,
+//! retract, counters — is deliberately weaker, with the justification
+//! written at each site; the `Sched` backend's `StoreBuffer` mode
+//! re-checks the whole protocol under store reordering, and the
+//! `DemoteBiasClear` fault row (BR-CLEAR demoted to `Release` in this
+//! code) proves a demoted bias clear would be caught.
 //!
 //! # RMR cost — an honest accounting
 //!
@@ -107,7 +108,7 @@
 
 use rmr_core::raw::{RawMultiWriter, RawParkedWaiters, RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::Pid;
-use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, SharedWord};
+use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, SharedWord, Site};
 use rmr_mutex::{spin_until, CachePadded};
 use rmr_obs::{Event, NoopRecorder, Recorder};
 use std::fmt;
@@ -336,7 +337,7 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
         // clears the bias before scanning, so either this SeqCst load
         // still sees the bias (and the scan will see our published slot),
         // or we retract and go slow. Demoting the *writer's* half of this
-        // square is the `WrongOrdering::DemoteBiasClear` mutant.
+        // square is `rmr-check`'s `DemoteBiasClear` fault row.
         if self.rbias.load(MemOrdering::SeqCst) {
             return Some(slot);
         }
@@ -382,18 +383,26 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
         // Site BR-CLEAR: the writer's half of the revocation SB square.
         // MUST be SeqCst, not Release — a buffered (reordered-late) clear
         // would let the scan below run while a fast reader's SeqCst
-        // re-check still observes the stale bias: both enter. This is the
-        // `WrongOrdering::DemoteBiasClear` mutant in `rmr-check`.
+        // re-check still observes the stale bias: both enter. This is
+        // `rmr-check`'s `DemoteBiasClear` fault row.
+        B::site(Site::BrClear);
         self.rbias.store(false, MemOrdering::SeqCst);
         for slot in self.slots.iter() {
             // Site BR-SCAN: SeqCst keeps the scan after the clear in the
             // total order (the SB half) and acquires each reader's
             // retract/unlock store before the writer enters the CS.
-            spin_until(|| slot.load(MemOrdering::SeqCst) == EMPTY);
+            spin_until(|| Self::slot_empty(slot));
         }
         // Diagnostics only.
         self.revocations.fetch_add(1, MemOrdering::Relaxed);
         true
+    }
+
+    /// One revocation-scan load (site BR-SCAN): `slot` holds no
+    /// published reader.
+    fn slot_empty(slot: &B::Word) -> bool {
+        B::site(Site::BrScan);
+        slot.load(MemOrdering::SeqCst) == EMPTY
     }
 }
 
@@ -494,10 +503,11 @@ impl<L: RawTryRwLock, B: Backend, R: Recorder> RawTryRwLock for Bravo<L, B, R> {
         if was_biased {
             // Site BR-CLEAR (one-shot variant): same SB square as the
             // blocking revocation — SeqCst for the same reason.
+            B::site(Site::BrClear);
             self.rbias.store(false, MemOrdering::SeqCst);
         }
         // Site BR-SCAN (one-shot variant): SeqCst, as in `revoke`.
-        if self.slots.iter().any(|slot| slot.load(MemOrdering::SeqCst) != EMPTY) {
+        if !self.slots.iter().all(|slot| Self::slot_empty(slot)) {
             // Back out: un-clear the bias first (we hold the inner write
             // lock, so no revocation or re-bias can race this store),
             // then release. Fast readers resume as if the attempt never
@@ -586,6 +596,7 @@ unsafe impl<L: RawParkedWaiters, B: Backend, R: Recorder> RawParkedWaiters for B
                     if was_biased {
                         // Site BR-CLEAR (staged variant): SeqCst for the
                         // same SB-square reason as the blocking revocation.
+                        B::site(Site::BrClear);
                         self.rbias.store(false, MemOrdering::SeqCst);
                     }
                     (token, was_biased)
@@ -599,7 +610,7 @@ unsafe impl<L: RawParkedWaiters, B: Backend, R: Recorder> RawParkedWaiters for B
         // inside (the one-shot `try_write_lock` argument verbatim); a
         // published slot parks the writer until that reader drains — its
         // unlock is what re-polls us in the async tier.
-        if self.slots.iter().any(|slot| slot.load(MemOrdering::SeqCst) != EMPTY) {
+        if !self.slots.iter().all(|slot| Self::slot_empty(slot)) {
             return Err(BravoDoorway::Revoking { token, was_biased });
         }
         if was_biased {

@@ -16,7 +16,7 @@ use crate::strategies::{Pct, RandomWalk};
 use rmr_core::raw::{RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::Pid;
 use rmr_mutex::mem::{Backend, Ordering as MemOrdering, SharedWord};
-use rmr_mutex::sched::{run_tasks_in, MemoryModel, Replay, RunOutcome, Strategy};
+use rmr_mutex::sched::{run_tasks_in, FaultPlan, MemoryModel, Replay, RunOutcome, Strategy};
 use rmr_mutex::{RawMutex, Sched};
 use rmr_sim::predicates::{mutex_exclusion, rw_exclusion, Occupancy};
 use std::fmt;
@@ -294,6 +294,26 @@ pub struct Trial {
     pub tasks: Vec<TaskBody>,
     /// Evaluated only after a clean run: quiescence / accounting checks.
     pub post: Box<dyn FnOnce() -> Result<(), String>>,
+}
+
+impl Trial {
+    /// Installs `plan` at the top of every task body, so the run faults
+    /// the plan's site in the shipped code (`rmr_mutex::sched::FaultPlan`).
+    /// The empty plan leaves the trial unchanged.
+    pub fn faulted(self, plan: &FaultPlan) -> Self {
+        let tasks = self
+            .tasks
+            .into_iter()
+            .map(|body| {
+                let plan = plan.clone();
+                Box::new(move || {
+                    plan.install();
+                    body();
+                }) as TaskBody
+            })
+            .collect();
+        Self { tasks, post: self.post }
+    }
 }
 
 impl fmt::Debug for Trial {

@@ -38,10 +38,11 @@
 //! explored per shared-memory operation and a lost wake-up is a
 //! replayable deadlock report, not a hung test.
 //!
-//! The deliberately broken locks in [`mutants`] prove the checker has
-//! teeth: each seeded bug (dropped gate store, wrong CAS expected value,
-//! skipped side flip, dropped wake-up, …) must be caught within a
-//! bounded schedule budget.
+//! The fault rows in [`mutants`] prove the checker has teeth: each seeds
+//! one bug into the *shipped* lock through a `Sched` fault plan (skipped
+//! gate store, swap reading "free", skipped side flip, dropped wake-up,
+//! demoted `SeqCst` store, …) and must be caught within a bounded
+//! schedule budget that the unfaulted lock passes.
 //!
 //! # Example
 //!

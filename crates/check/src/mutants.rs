@@ -1,696 +1,153 @@
-//! Deliberately broken lock variants — the checker's teeth.
+//! The checker's teeth: seeded bugs in the code that ships.
 //!
 //! A checker that has never caught a bug is indistinguishable from one
-//! that cannot. Following `rmr-sim/tests/mutants.rs` (which seeds
-//! transcription errors into the line-level models), this module seeds
-//! real-code bugs into faithful copies of the shipped implementations:
-//! each [`Mutation`] is a one-line change of the kind a refactor could
-//! plausibly introduce, and the test battery asserts that every one is
-//! caught within a bounded schedule budget while the unmutated copies
-//! pass the same budgets.
+//! that cannot. Each [`Mutation`] names one bug of the kind a refactor
+//! could plausibly introduce, and the battery (`tests/mutants.rs`)
+//! asserts that every one is caught within a bounded schedule budget
+//! while the unmutated control passes the same budgets.
 //!
-//! The copies live here, not in the production crates — shipping broken
-//! locks behind a flag would be a footgun — and are kept line-for-line
-//! parallel to their originals (`swmr/writer_priority.rs`, `tas.rs`,
-//! `anderson.rs`, `rmr-baselines/src/flags.rs`, `rmr-bravo/src/lib.rs`,
-//! `rmr-swap/src/lib.rs`) so a diff against the real code shows exactly
-//! the seeded bug and nothing else. That includes per-access memory
-//! orderings: every copy carries its original's orderings verbatim, so
-//! the *ordering itself* can be a mutation point.
+//! Almost every row is a **fault plan over the shipped lock**:
+//! [`Mutation::plan`] names one DESIGN.md §13 site and one [`Fault`] —
+//! skip a store, demote a `SeqCst` store to `Release`, or force the value
+//! a load or RMW reads — and the `Sched` backend applies it to the
+//! operation right after that site's `Backend::site` call in the real
+//! lock. The control is the same lock under [`FaultPlan::none`]. There is
+//! no copy of the lock to drift from the original, so the battery tests
+//! exactly the code users run; and each trial asserts its site was hit
+//! at least once ([`assert_site_hit`]), so a plan aimed at code the trial
+//! never reaches cannot pass vacuously.
 //!
-//! The `Demote*` mutations are exactly that: each weakens one store the
-//! per-site policy (DESIGN.md §13) proves must be SeqCst, from SeqCst to
-//! Release. Under [`rmr_mutex::sched::MemoryModel::SeqCst`] the demotion is
-//! invisible — the control batteries pass either way — but under
-//! [`rmr_mutex::sched::MemoryModel::StoreBuffer`] the demoted store parks in the
-//! mutating task's store buffer past the store→load (Dekker) edge it was
-//! guarding, and the battery catches the violation. They are the
+//! The `Demote*` rows weaken one store the per-site policy (DESIGN.md
+//! §13) proves must be `SeqCst`. Under
+//! [`rmr_mutex::sched::MemoryModel::SeqCst`] the demotion is invisible —
+//! the control batteries pass either way — but under
+//! [`rmr_mutex::sched::MemoryModel::StoreBuffer`] the demoted store parks
+//! in the faulted task's store buffer past the store→load (Dekker) edge
+//! it was guarding, and the battery catches the violation. They are the
 //! evidence that the weak mode actually distinguishes the orderings the
 //! relaxation sweep left strong.
+//!
+//! Two rows are not single-operation faults and keep a small wrapper
+//! here, each documented with its reason: [`MutantTokenlessTicket`] (a
+//! lie about `QUEUED`, not a wrong operation) and the [`MutantSwap`]
+//! model (a fault in the real swap tier would be a real use-after-free).
 
-use rmr_core::packed::{Packed, PackedFaa};
 use rmr_core::raw::{RawParkedWaiters, RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::Pid;
-use rmr_core::{AtomicSide, Side};
-use rmr_mutex::mem::{Backend, Ordering, SharedBool, SharedWord};
-use rmr_mutex::{spin_until, RawMutex, Sched, TtasLock};
+use rmr_mutex::mem::{Backend, Ordering, SharedBool, SharedWord, Site};
+use rmr_mutex::sched::{Fault, FaultPlan};
+use rmr_mutex::{spin_until, Sched};
 use std::fmt;
 
-/// Which seeded bug a mutant lock carries. `None` is the control: the
-/// faithful copy, which must pass every battery the mutants fail.
+/// Which seeded bug a battery row carries. `None` is the control: the
+/// shipped lock under the empty plan, which must pass every battery the
+/// mutants fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Faithful copy — no bug.
+    /// The shipped lock, unfaulted.
     None,
-    /// Figure 1 writer skips line 8 (`Gate[prevD] ← false`): the previous
-    /// side's gate stays open, so from the writer's second attempt on,
-    /// readers bind to an open gate while the writer owns the CS.
+    /// `SkipStore@F1-L8`: the Figure 1 writer skips `Gate[prevD] ← false`
+    /// (both line-8 stores: the waiting room's and an abandoned
+    /// passage's completion). The previous side's gate stays open, so
+    /// from the writer's second attempt on, readers bind to an open gate
+    /// while the writer owns the CS.
     SkipGateClose,
-    /// Figure 1 writer skips line 3 (`D ← currD`, the [`AtomicSide`]
-    /// flip): readers keep registering on the stale side the writer is
-    /// draining.
+    /// `SkipStore@F1-L3`: the Figure 1 writer skips `D ← currD`. Readers
+    /// keep registering on the stale side the writer is draining.
     SkipSideFlip,
-    /// Figure 1 reader skips line 28 (`Permit[d] ← true`): the last
-    /// reader out never wakes a writer parked on `C[d]` — deadlock.
+    /// `SkipStore@F1-L28`: the last Figure 1 reader out skips
+    /// `Permit[d] ← true` and never wakes a writer waiting on `C[d]` —
+    /// deadlock.
     SkipReaderPermit,
-    /// TTAS lock CASes with the *observed* value as the expected value
-    /// (`CAS(flag, flag_read, true)` instead of `CAS(flag, false,
-    /// true)`): when the flag is already `true` the CAS succeeds and a
-    /// second holder walks in.
-    WrongCasExpected,
-    /// Anderson unlock skips closing its own slot: both slots end up
-    /// open and two later tickets enter together.
+    /// `ForceResult(false)@TT-SWAP`: the TTAS acquire swap reads "free"
+    /// whatever the flag held, so a second holder walks in.
+    SwapReadsFree,
+    /// `SkipStore@AN-CLOSE`: the Anderson unlock skips closing its own
+    /// slot; both slots end up open and two later tickets enter together.
     SkipSlotClose,
-    /// Bravo writer flips the bias word off but skips the visible-readers
-    /// slot scan: a published fast reader is still inside its read session
-    /// when the writer enters the critical section.
+    /// `ForceResult(EMPTY)@BR-SCAN`: every Bravo revocation-scan load
+    /// reads an empty slot, so the writer enters while a published fast
+    /// reader is still inside its read session.
     SkipRevocationScan,
-    /// Async write-release skips the wake-up scan: futures parked behind
-    /// the writer (their retry-after-register found it still holding) are
-    /// never re-polled — the parking tier's characteristic lost-wakeup
-    /// bug, surfacing as a deterministic deadlock report.
+    /// `ForceResult(0)@AS-COUNT`: the waker table's wake-scan skip checks
+    /// read "nobody parked", so futures parked behind a release are never
+    /// re-polled — the parking tier's lost-wakeup bug, surfacing as a
+    /// deterministic deadlock report.
     DropWakeup,
-    /// Epoch-swap writer's grace-period scan skips slot 0: a payload is
-    /// freed while the reader in that slot still pins it with a published
-    /// epoch — the snapshot tier's characteristic use-after-free, caught
-    /// by the freed-flag oracle instead of actual UB.
+    /// Epoch-swap writer's grace-period scan skips slot 0 (the
+    /// [`MutantSwap`] model): a payload is freed while the reader in that
+    /// slot still pins it — caught by the freed-flag oracle.
     PrematureRetire,
-    /// Flags-baseline reader demotes its flag raise (site BL-FLAGS) from
-    /// SeqCst to Release. The raise parks in the reader's store buffer:
-    /// the reader checks `writer_present`, sees false, and enters while a
-    /// writer that raised `writer_present` scans flags that all read
-    /// false — both sides of the Dekker square miss each other and both
-    /// enter. Invisible under SC; caught under `MemoryModel::StoreBuffer`.
+    /// `Demote@BL-FLAGS` (reader half): the flags-baseline reader's flag
+    /// raise parks in its store buffer. The reader sees no writer and
+    /// enters while a writer that raised `writer_present` scans flags
+    /// that all read false — both sides of the Dekker square miss each
+    /// other. Invisible under SC; caught under `StoreBuffer`.
     DemoteFlagRaise,
-    /// Bravo writer demotes the bias clear (site BR-CLEAR) from SeqCst to
-    /// Release. The clear parks in the writer's store buffer while the
-    /// revocation scan runs against it; a fast reader that published its
-    /// slot *after* the scan passed it re-checks the bias, still observes
-    /// the stale `true`, and keeps its fast read session while the writer
-    /// is in the critical section. Invisible under SC; caught under
-    /// `MemoryModel::StoreBuffer`.
+    /// `Demote@BR-CLEAR`: the revoking Bravo writer's bias clear parks in
+    /// its store buffer while the revocation scan runs; a fast reader
+    /// that published after the scan passed its slot re-checks the bias,
+    /// still sees the stale `true`, and reads inside the writer's CS.
+    /// Invisible under SC; caught under `StoreBuffer`.
     DemoteBiasClear,
-    /// Epoch-swap reader demotes the epoch publish (site SW-PUB) from
-    /// SeqCst to Release. The publish parks in the reader's store buffer
-    /// past the payload load it must precede: a concurrent writer's
-    /// grace scan sees the slot still empty, frees the payload the reader
-    /// pinned, and the freed-flag oracle fires. Invisible under SC;
-    /// caught under `MemoryModel::StoreBuffer`.
+    /// The [`MutantSwap`] model's reader demotes its epoch publish (site
+    /// SW-PUB) to `Release`: the writer's grace scan misses the buffered
+    /// pin and frees the payload. Invisible under SC; caught under
+    /// `StoreBuffer`.
     DemotePublishEpoch,
-    /// The doorway wrapper claims `QUEUED = true` but `start_write` never
-    /// draws the ticket: `poll_write` degrades to a bare `try_write_lock`
-    /// with no queue presence, so readers stream past the "tokened"
-    /// writer without bound — the bug `async_fair_trial`'s bounded-bypass
-    /// oracle exists to catch (a refactor that keeps the doorway shape
-    /// but loses the token is exactly one dropped call).
+    /// `Demote@F1-ZPUB`: a cancelled Figure 1 doorway's zombie publish
+    /// parks in the canceller's store buffer past its F1-ZSCAN re-check,
+    /// so the last reader out (site F1-ZHELP) and the canceller each
+    /// leave the abandoned passage to the other — its gates are never
+    /// rewritten. Invisible under SC; caught under `StoreBuffer`.
+    DemoteZombiePublish,
+    /// The [`MutantTokenlessTicket`] wrapper claims `QUEUED = true` but
+    /// `start_write` never draws the ticket: readers stream past the
+    /// "tokened" writer without bound — the bug `async_fair_trial`'s
+    /// bounded-bypass oracle exists to catch.
     DropWaiterToken,
 }
 
-// ---------------------------------------------------------------------
-// Figure 1 copy (SwmrWriterPriority) with seeded writer/reader bugs
-// ---------------------------------------------------------------------
-
-/// Proof of a held mutant read lock.
-#[derive(Debug)]
-pub struct MutantReadToken {
-    d: Side,
-}
-
-/// Proof of a held mutant write lock.
-#[derive(Debug)]
-pub struct MutantWriteToken {
-    curr: Side,
-}
-
-/// A line-for-line copy of [`rmr_core::swmr::SwmrWriterPriority`]
-/// carrying one of the Figure 1 [`Mutation`]s ([`Mutation::None`] for the
-/// control copy). Always instantiated over [`Sched`] by the battery.
-pub struct MutantFig1<B: Backend = Sched> {
-    mutation: Mutation,
-    d: AtomicSide<B>,
-    gates: [B::Bool; 2],
-    permits: [B::Bool; 2],
-    counts: [PackedFaa<B>; 2],
-    exit_count: PackedFaa<B>,
-    exit_permit: B::Bool,
-}
-
-impl<B: Backend> MutantFig1<B> {
-    /// Creates the lock in the paper's initial configuration, carrying
-    /// `mutation`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not a Figure 1 mutation.
-    pub fn new_in(mutation: Mutation, _backend: B) -> Self {
-        assert!(
-            matches!(
-                mutation,
-                Mutation::None
-                    | Mutation::SkipGateClose
-                    | Mutation::SkipSideFlip
-                    | Mutation::SkipReaderPermit
-            ),
-            "{mutation:?} is not a Figure 1 mutation"
-        );
-        Self {
-            mutation,
-            d: AtomicSide::new_in(Side::Zero, B::default()),
-            gates: [B::Bool::new(true), B::Bool::new(false)],
-            permits: [B::Bool::new(false), B::Bool::new(false)],
-            counts: [PackedFaa::new_in(B::default()), PackedFaa::new_in(B::default())],
-            exit_count: PackedFaa::new_in(B::default()),
-            exit_permit: B::Bool::new(false),
-        }
-    }
-
-    fn writer_enter(&self) -> MutantWriteToken {
-        let prev = self.d.load(Ordering::Relaxed); // line 2
-        let curr = !prev;
-        if self.mutation != Mutation::SkipSideFlip {
-            self.d.store(curr, Ordering::Relaxed); // line 3 — MUTATION POINT
-        }
-        let p = prev.index();
-        self.permits[p].store(false, Ordering::Relaxed); // line 4
-        let old = self.counts[p].add_writer(Ordering::SeqCst); // line 5
-        if old != Packed::ZERO {
-            spin_until(|| self.permits[p].load(Ordering::Acquire)); // line 6
-        }
-        self.counts[p].sub_writer(Ordering::SeqCst); // line 7
-        if self.mutation != Mutation::SkipGateClose {
-            self.gates[p].store(false, Ordering::Release); // line 8 — MUTATION POINT
-        }
-        self.exit_permit.store(false, Ordering::Relaxed); // line 9
-        let old = self.exit_count.add_writer(Ordering::SeqCst); // line 10
-        if old != Packed::ZERO {
-            spin_until(|| self.exit_permit.load(Ordering::Acquire)); // line 11
-        }
-        self.exit_count.sub_writer(Ordering::SeqCst); // line 12
-        MutantWriteToken { curr } // line 13: CS
-    }
-
-    fn writer_exit(&self, token: MutantWriteToken) {
-        self.gates[token.curr.index()].store(true, Ordering::Release); // line 14
-    }
-
-    fn reader_doorway(&self) -> Side {
-        let mut d = self.d.load(Ordering::Relaxed); // line 16
-        self.counts[d.index()].add_reader(Ordering::SeqCst); // line 17
-        let d2 = self.d.load(Ordering::Relaxed); // line 18
-        if d != d2 {
-            // line 19
-            self.counts[d2.index()].add_reader(Ordering::SeqCst); // line 20
-            d = self.d.load(Ordering::Relaxed); // line 21
-            let other = !d;
-            let old = self.counts[other.index()].sub_reader(Ordering::SeqCst); // line 22
-            if old == Packed::ONE_ONE {
-                self.permits[other.index()].store(true, Ordering::Release); // line 23
-            }
-        }
-        d
-    }
-
-    fn reader_enter(&self) -> MutantReadToken {
-        let d = self.reader_doorway();
-        spin_until(|| self.gates[d.index()].load(Ordering::Acquire)); // line 24
-        MutantReadToken { d } // line 25: CS
-    }
-
-    fn reader_exit(&self, token: MutantReadToken) {
-        let d = token.d.index();
-        self.exit_count.add_reader(Ordering::SeqCst); // line 26
-        let old = self.counts[d].sub_reader(Ordering::SeqCst); // line 27
-        if old == Packed::ONE_ONE && self.mutation != Mutation::SkipReaderPermit {
-            self.permits[d].store(true, Ordering::Release); // line 28 — MUTATION POINT
-        }
-        let old = self.exit_count.sub_reader(Ordering::SeqCst); // line 29
-        if old == Packed::ONE_ONE {
-            self.exit_permit.store(true, Ordering::Release); // line 30
-        }
-    }
-
-    /// Mirror of the real lock's quiescence entry point (the control copy
-    /// must satisfy it after clean runs).
-    pub fn is_quiescent(&self) -> bool {
-        let d = self.d.load(Ordering::Relaxed);
-        self.counts[0].load(Ordering::Relaxed) == Packed::ZERO
-            && self.counts[1].load(Ordering::Relaxed) == Packed::ZERO
-            && self.exit_count.load(Ordering::Relaxed) == Packed::ZERO
-            && self.gates[d.index()].load(Ordering::Relaxed)
-            && !self.gates[(!d).index()].load(Ordering::Relaxed)
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantFig1<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantFig1").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawRwLock for MutantFig1<B> {
-    type ReadToken = MutantReadToken;
-    type WriteToken = MutantWriteToken;
-
-    fn read_lock(&self, _pid: Pid) -> MutantReadToken {
-        self.reader_enter()
-    }
-
-    fn read_unlock(&self, _pid: Pid, token: MutantReadToken) {
-        self.reader_exit(token);
-    }
-
-    fn write_lock(&self, _pid: Pid) -> MutantWriteToken {
-        self.writer_enter()
-    }
-
-    fn write_unlock(&self, _pid: Pid, token: MutantWriteToken) {
-        self.writer_exit(token);
-    }
-
-    fn max_processes(&self) -> usize {
-        usize::MAX
-    }
-}
-
-impl<B: Backend> RawTryReadLock for MutantFig1<B> {
-    fn try_read_lock(&self, _pid: Pid) -> Option<MutantReadToken> {
-        let d = self.reader_doorway();
-        if self.gates[d.index()].load(Ordering::Acquire) {
-            Some(MutantReadToken { d })
-        } else {
-            self.reader_exit(MutantReadToken { d });
-            None
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// TTAS copy with the wrong-CAS-expected bug
-// ---------------------------------------------------------------------
-
-/// A copy of [`rmr_mutex::TtasLock`] where [`Mutation::WrongCasExpected`]
-/// replaces the acquire CAS's expected value with the value just read.
-pub struct MutantTtas<B: Backend = Sched> {
-    mutation: Mutation,
-    flag: B::Bool,
-}
-
-impl<B: Backend> MutantTtas<B> {
-    /// Creates an unlocked mutant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`WrongCasExpected`.
-    pub fn new_in(mutation: Mutation, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::WrongCasExpected),
-            "{mutation:?} is not a TTAS mutation"
-        );
-        Self { mutation, flag: B::Bool::new(false) }
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantTtas<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantTtas").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawMutex for MutantTtas<B> {
-    type Token = ();
-
-    fn lock(&self) {
-        loop {
-            let seen = self.flag.load(Ordering::Relaxed); // test
-            if self.mutation == Mutation::WrongCasExpected {
-                // MUTATION: expected = the value just read. When `seen`
-                // is already true this succeeds vacuously and admits a
-                // second holder.
-                if self
-                    .flag
-                    .compare_exchange(seen, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return;
-                }
-            } else if !seen
-                && self
-                    .flag
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return; // test&set
-            }
-        }
-    }
-
-    fn unlock(&self, _token: ()) {
-        self.flag.store(false, Ordering::Release);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Anderson copy with the open-slot bug
-// ---------------------------------------------------------------------
-
-/// A copy of [`rmr_mutex::AndersonLock`] where [`Mutation::SkipSlotClose`]
-/// drops the unlock's "close my own slot" store.
-pub struct MutantAnderson<B: Backend = Sched> {
-    mutation: Mutation,
-    slots: Box<[B::Bool]>,
-    next_ticket: B::Word,
-    mask: u64,
-}
-
-impl<B: Backend> MutantAnderson<B> {
-    /// Creates the mutant with `capacity` slots (rounded up to a power of
-    /// two, minimum 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`SkipSlotClose` or `capacity`
-    /// is 0.
-    pub fn new_in(mutation: Mutation, capacity: usize, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::SkipSlotClose),
-            "{mutation:?} is not an Anderson mutation"
-        );
-        assert!(capacity > 0, "capacity must be positive");
-        let capacity = capacity.next_power_of_two().max(2);
-        Self {
-            mutation,
-            slots: (0..capacity).map(|i| B::Bool::new(i == 0)).collect(),
-            next_ticket: B::Word::new(0),
-            mask: capacity as u64 - 1,
-        }
-    }
-
-    fn slot(&self, ticket: u64) -> &B::Bool {
-        &self.slots[(ticket & self.mask) as usize]
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantAnderson<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantAnderson").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawMutex for MutantAnderson<B> {
-    type Token = u64;
-
-    fn lock(&self) -> u64 {
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        spin_until(|| self.slot(ticket).load(Ordering::Acquire));
-        ticket
-    }
-
-    fn unlock(&self, ticket: u64) {
-        if self.mutation != Mutation::SkipSlotClose {
-            self.slot(ticket).store(false, Ordering::Relaxed); // MUTATION POINT
-        }
-        self.slot(ticket.wrapping_add(1)).store(true, Ordering::Release);
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(self.mask as usize + 1)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Bravo wrapper copy with the skipped revocation scan
-// ---------------------------------------------------------------------
-
-/// Proof of a held mutant Bravo read session (mirror of
-/// `rmr_bravo::BravoReadToken` over the ticket inner lock).
-#[derive(Debug)]
-pub enum MutantBravoReadToken {
-    /// Fast path: a published visible-readers slot.
-    Fast {
-        /// The published slot index.
-        slot: usize,
-    },
-    /// Slow path: the inner ticket lock's (unit) token.
-    Slow,
-}
-
-/// A line-for-line copy of `rmr_bravo::Bravo` over a
-/// [`rmr_baselines::TicketRwLock`] inner lock, carrying
-/// [`Mutation::SkipRevocationScan`] or [`Mutation::DemoteBiasClear`] (or
-/// [`Mutation::None`] for the control copy). Always instantiated over
-/// [`Sched`] by the battery.
-pub struct MutantBravo<B: Backend = Sched> {
-    mutation: Mutation,
-    inner: rmr_baselines::TicketRwLock<B>,
-    rbias: B::Bool,
-    slow_reads: B::Word,
-    slots: Box<[B::Word]>,
-    rebias_after: u64,
-}
-
-impl<B: Backend> MutantBravo<B> {
-    /// Creates the mutant around a fresh ticket lock: `table_slots`
-    /// visible-readers slots (rounded up to a power of two), re-bias
-    /// after `rebias_after` slow reads, initially biased.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`SkipRevocationScan`/
-    /// `DemoteBiasClear`.
-    pub fn new_in(mutation: Mutation, table_slots: usize, rebias_after: u32, _backend: B) -> Self {
-        assert!(
-            matches!(
-                mutation,
-                Mutation::None | Mutation::SkipRevocationScan | Mutation::DemoteBiasClear
-            ),
-            "{mutation:?} is not a Bravo mutation"
-        );
-        let slots = table_slots.max(1).next_power_of_two();
-        Self {
-            mutation,
-            inner: rmr_baselines::TicketRwLock::new_in(usize::MAX, B::default()),
-            rbias: B::Bool::new(true),
-            slow_reads: B::Word::new(0),
-            slots: (0..slots).map(|_| B::Word::new(0)).collect(),
-            rebias_after: u64::from(rebias_after),
-        }
-    }
-
-    fn slot_index(&self, pid: Pid) -> usize {
-        ((pid.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) as usize
-            & (self.slots.len() - 1)
-    }
-
-    fn try_fast_read(&self, pid: Pid) -> Option<usize> {
-        if !self.rbias.load(Ordering::Relaxed) {
-            return None;
-        }
-        let slot = self.slot_index(pid);
-        if self.slots[slot]
-            .compare_exchange(0, pid.index() as u64 + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_err()
-        {
-            return None;
-        }
-        if self.rbias.load(Ordering::SeqCst) {
-            return Some(slot);
-        }
-        self.slots[slot].store(0, Ordering::Relaxed);
-        None
-    }
-
-    fn note_slow_read(&self) {
-        if self.rebias_after == 0 {
-            return;
-        }
-        let n = self.slow_reads.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.rebias_after) {
-            self.rbias.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn revoke(&self) {
-        if !self.rbias.load(Ordering::Relaxed) {
-            return;
-        }
-        // Site BR-CLEAR: the original is SeqCst so the clear cannot pass
-        // the slot scan below (the fast readers' publish/re-check is the
-        // other half of the square).
-        let order = if self.mutation == Mutation::DemoteBiasClear {
-            Ordering::Release // MUTATION POINT: the clear parks in the buffer
-        } else {
-            Ordering::SeqCst
+impl Mutation {
+    /// The row's fault plan over the shipped lock. The control and the
+    /// wrapper rows ([`PrematureRetire`](Self::PrematureRetire),
+    /// [`DemotePublishEpoch`](Self::DemotePublishEpoch),
+    /// [`DropWaiterToken`](Self::DropWaiterToken)) fault no shipped
+    /// operation: their plan is empty.
+    pub fn plan(self) -> FaultPlan {
+        let (site, fault) = match self {
+            Mutation::SkipSideFlip => (Site::F1L3, Fault::SkipStore),
+            Mutation::SkipGateClose => (Site::F1L8, Fault::SkipStore),
+            Mutation::SkipReaderPermit => (Site::F1L28, Fault::SkipStore),
+            Mutation::SwapReadsFree => (Site::TtSwap, Fault::ForceResult(0)),
+            Mutation::SkipSlotClose => (Site::AnClose, Fault::SkipStore),
+            // Bravo's empty-slot sentinel is 0.
+            Mutation::SkipRevocationScan => (Site::BrScan, Fault::ForceResult(0)),
+            Mutation::DropWakeup => (Site::AsCount, Fault::ForceResult(0)),
+            Mutation::DemoteFlagRaise => (Site::BlFlags, Fault::Demote),
+            Mutation::DemoteBiasClear => (Site::BrClear, Fault::Demote),
+            Mutation::DemoteZombiePublish => (Site::F1ZPub, Fault::Demote),
+            Mutation::None
+            | Mutation::PrematureRetire
+            | Mutation::DemotePublishEpoch
+            | Mutation::DropWaiterToken => return FaultPlan::none(),
         };
-        self.rbias.store(false, order);
-        if self.mutation != Mutation::SkipRevocationScan {
-            for slot in self.slots.iter() {
-                // MUTATION POINT: the mutant enters without this wait.
-                spin_until(|| slot.load(Ordering::SeqCst) == 0);
-            }
-        }
-    }
-
-    /// Mirror of the real wrapper's quiescence entry point.
-    pub fn is_quiescent(&self) -> bool {
-        self.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0)
+        FaultPlan::at(site, fault)
     }
 }
 
-impl<B: Backend> fmt::Debug for MutantBravo<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantBravo").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawRwLock for MutantBravo<B> {
-    type ReadToken = MutantBravoReadToken;
-    type WriteToken = ();
-
-    fn read_lock(&self, pid: Pid) -> MutantBravoReadToken {
-        if let Some(slot) = self.try_fast_read(pid) {
-            return MutantBravoReadToken::Fast { slot };
-        }
-        let () = self.inner.read_lock(pid);
-        self.note_slow_read();
-        MutantBravoReadToken::Slow
-    }
-
-    fn read_unlock(&self, pid: Pid, token: MutantBravoReadToken) {
-        match token {
-            MutantBravoReadToken::Fast { slot } => self.slots[slot].store(0, Ordering::Release),
-            MutantBravoReadToken::Slow => self.inner.read_unlock(pid, ()),
-        }
-    }
-
-    fn write_lock(&self, pid: Pid) {
-        let () = self.inner.write_lock(pid);
-        self.revoke();
-    }
-
-    fn write_unlock(&self, pid: Pid, (): ()) {
-        self.inner.write_unlock(pid, ());
-    }
-
-    fn max_processes(&self) -> usize {
-        usize::MAX
-    }
-}
-
-// ---------------------------------------------------------------------
-// Async parking-protocol copy with the dropped write-release wake-up
-// ---------------------------------------------------------------------
-
-/// A line-for-line copy of `rmr-async`'s acquisition/release protocol
-/// (the `AsyncRead`/`AsyncWrite` poll bodies and the guard drops) over a
-/// [`rmr_baselines::TicketRwLock`] inner lock, carrying
-/// [`Mutation::DropWakeup`] (or [`Mutation::None`] for the control).
-/// The waker table is the *production* `rmr_async::WakerTable` — the
-/// seeded bug lives in the release path that is supposed to drive it.
-/// Acquire/release are explicit (no RAII guards) so the mutation point is
-/// a plain skipped call. Always instantiated over [`Sched`] by the
-/// battery.
-pub struct MutantAsyncRw<B: Backend = Sched> {
-    mutation: Mutation,
-    inner: rmr_baselines::TicketRwLock<B>,
-    table: rmr_async::park::WakerTable<B>,
-    readers: B::Word,
-}
-
-impl<B: Backend> MutantAsyncRw<B> {
-    /// Creates the mutant with `capacity` waker slots (task pids must be
-    /// in `0..capacity`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`DropWakeup`.
-    pub fn new_in(mutation: Mutation, capacity: usize, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::DropWakeup),
-            "{mutation:?} is not an async mutation"
-        );
-        Self {
-            mutation,
-            inner: rmr_baselines::TicketRwLock::new_in(capacity, B::default()),
-            table: rmr_async::park::WakerTable::new(capacity),
-            readers: B::Word::new(0),
-        }
-    }
-
-    /// The async read acquisition: bounded attempt, park, retry — the
-    /// same poll body as `rmr_async::lock::AsyncRead`.
-    pub fn read_acquire(&self, pid: Pid) -> impl std::future::Future<Output = ()> + '_ {
-        use rmr_async::park::WaitKind;
-        std::future::poll_fn(move |cx| {
-            if self.inner.try_read_lock(pid).is_some() {
-                self.finish_read(pid);
-                return std::task::Poll::Ready(());
-            }
-            self.table.register(pid.index(), WaitKind::Reader, cx.waker());
-            if self.inner.try_read_lock(pid).is_some() {
-                self.finish_read(pid);
-                return std::task::Poll::Ready(());
-            }
-            std::task::Poll::Pending
-        })
-    }
-
-    /// Mirror of `AsyncRwLock::finish_read`: count the session and
-    /// re-poll readers parked behind this entry's transient window.
-    fn finish_read(&self, pid: Pid) {
-        self.table.deregister(pid.index());
-        // Site AS-COUNT's counterpart: the 1 → 0 edge of this counter gates
-        // the read-release wake_all scan, so it is SeqCst like the original.
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        if self.table.parked_readers() > 0 {
-            self.table.wake_readers();
-        }
-    }
-
-    /// Read release: the last reader out wakes everything parked.
-    pub fn read_release(&self, pid: Pid) {
-        self.inner.read_unlock(pid, ());
-        if self.readers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.table.wake_all();
-        }
-    }
-
-    /// The async write acquisition (same protocol, writer wait kind).
-    pub fn write_acquire(&self, pid: Pid) -> impl std::future::Future<Output = ()> + '_ {
-        use rmr_async::park::WaitKind;
-        use rmr_core::raw::RawTryRwLock;
-        std::future::poll_fn(move |cx| {
-            if self.inner.try_write_lock(pid).is_some() {
-                self.table.deregister(pid.index());
-                return std::task::Poll::Ready(());
-            }
-            self.table.register(pid.index(), WaitKind::Writer, cx.waker());
-            if self.inner.try_write_lock(pid).is_some() {
-                self.table.deregister(pid.index());
-                return std::task::Poll::Ready(());
-            }
-            std::task::Poll::Pending
-        })
-    }
-
-    /// Write release: must wake everything parked behind the writer.
-    pub fn write_release(&self, pid: Pid) {
-        self.inner.write_unlock(pid, ());
-        if self.mutation != Mutation::DropWakeup {
-            self.table.wake_all(); // MUTATION POINT: the mutant never wakes
-        }
-    }
-
-    /// Mirror of the real wrapper's quiescence entry point.
-    pub fn is_quiescent(&self) -> bool {
-        self.table.parked_readers() == 0
-            && self.table.parked_writers() == 0
-            && self.readers.load(Ordering::Relaxed) == 0
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantAsyncRw<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantAsyncRw").field("mutation", &self.mutation).finish()
+/// The battery's vacuity check: panics unless `plan`'s site was faulted
+/// at least once across every trial built with it. A row whose site the
+/// trial never reaches (a misplaced tag, or a plan pointed at the wrong
+/// lock) would otherwise "pass" its invisible-under-SC half, or be
+/// "caught" by something else entirely. The empty plan passes trivially.
+///
+/// # Panics
+///
+/// Panics if the plan names a site and it was never hit.
+pub fn assert_site_hit(label: &str, plan: &FaultPlan) {
+    if let Some((site, fault)) = plan.row() {
+        assert!(plan.hits() > 0, "{label}: {fault:?}@{site} was never hit");
     }
 }
 
@@ -709,6 +166,12 @@ impl<B: Backend> fmt::Debug for MutantAsyncRw<B> {
 /// contract breach `rmr_check::async_exec::async_fair_trial`'s
 /// bounded-bypass oracle polices. [`Mutation::None`] is the faithful
 /// forwarder and must pass the identical battery.
+///
+/// Why a wrapper and not a fault plan: the bug is a lie about `QUEUED`
+/// (a fairness promise), not a wrong load or store. Every operation the
+/// tokenless doorway performs is one the real ticket lock performs too;
+/// what is missing is a call, and no single-operation fault can drop
+/// the queue position while keeping the `QUEUED = true` claim.
 pub struct MutantTokenlessTicket<B: Backend = Sched> {
     mutation: Mutation,
     inner: rmr_baselines::TicketRwLock<B>,
@@ -831,6 +294,13 @@ impl<B: Backend> fmt::Debug for MutantTokenlessTicket<B> {
 /// one writer task models the serialized install stream and the mutation
 /// point — the grace scan — is exercised without dragging a lock copy in.
 /// Always instantiated over [`Sched`] by the battery.
+///
+/// Why a model and not a fault plan over `rmr_swap::Snapshot`: there,
+/// skipping a pin in the grace scan frees a real heap payload a reader
+/// still dereferences — a real use-after-free, undefined behavior the
+/// checker cannot observe deterministically (it may read fine, crash, or
+/// corrupt the run). The model's freed flags turn the same bug into an
+/// oracle panic.
 pub struct MutantSwap<B: Backend = Sched> {
     mutation: Mutation,
     /// The global epoch `G` (starts at 1; 0 is the empty-slot sentinel).
@@ -947,161 +417,47 @@ impl<B: Backend> fmt::Debug for MutantSwap<B> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Distributed-flags baseline copy with the demoted flag raise
-// ---------------------------------------------------------------------
-
-/// A line-for-line copy of [`rmr_baselines::DistributedFlagRwLock`]
-/// carrying [`Mutation::DemoteFlagRaise`] (or [`Mutation::None`] for the
-/// control copy). The lock's exclusion rests on a textbook Dekker square
-/// (site BL-FLAGS): reader raises its flag then reads `writer_present`;
-/// writer raises `writer_present` then scans the flags. The mutation
-/// weakens the reader's raise from SeqCst to Release — a change with no
-/// observable effect under sequential consistency, which is exactly why
-/// the battery must run it under [`rmr_mutex::sched::MemoryModel::StoreBuffer`]
-/// to catch it. Always instantiated over [`Sched`] by the battery.
-pub struct MutantFlags<B: Backend = Sched> {
-    mutation: Mutation,
-    reader_flags: Box<[B::Bool]>,
-    writer_mutex: TtasLock<B>,
-    writer_present: B::Bool,
-}
-
-impl<B: Backend> MutantFlags<B> {
-    /// Creates the mutant with `max_processes` reader slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`DemoteFlagRaise` or
-    /// `max_processes` is 0.
-    pub fn new_in(mutation: Mutation, max_processes: usize, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::DemoteFlagRaise),
-            "{mutation:?} is not a flags mutation"
-        );
-        assert!(max_processes > 0, "max_processes must be positive");
-        Self {
-            mutation,
-            reader_flags: (0..max_processes).map(|_| B::Bool::new(false)).collect(),
-            writer_mutex: TtasLock::new_in(B::default()),
-            writer_present: B::Bool::new(false),
-        }
-    }
-
-    fn raise_order(&self) -> Ordering {
-        // Site BL-FLAGS: the original raise is SeqCst so it cannot pass the
-        // writer_present check that follows it.
-        if self.mutation == Mutation::DemoteFlagRaise {
-            Ordering::Release // MUTATION POINT: the raise parks in the buffer
-        } else {
-            Ordering::SeqCst
-        }
-    }
-
-    /// Mirror of the real baseline's quiescence condition: every flag down
-    /// and no writer present.
-    pub fn is_quiescent(&self) -> bool {
-        self.reader_flags.iter().all(|f| !f.load(Ordering::Relaxed))
-            && !self.writer_present.load(Ordering::Relaxed)
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantFlags<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantFlags").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawRwLock for MutantFlags<B> {
-    type ReadToken = ();
-    type WriteToken = ();
-
-    fn read_lock(&self, pid: Pid) {
-        let flag = &self.reader_flags[pid.index()];
-        loop {
-            flag.store(true, self.raise_order());
-            if !self.writer_present.load(Ordering::SeqCst) {
-                return;
-            }
-            flag.store(false, Ordering::Relaxed);
-            spin_until(|| !self.writer_present.load(Ordering::Acquire));
-        }
-    }
-
-    fn read_unlock(&self, pid: Pid, (): ()) {
-        self.reader_flags[pid.index()].store(false, Ordering::Release);
-    }
-
-    fn write_lock(&self, _pid: Pid) {
-        self.writer_mutex.lock();
-        self.writer_present.store(true, Ordering::SeqCst);
-        for flag in self.reader_flags.iter() {
-            spin_until(|| !flag.load(Ordering::Acquire));
-        }
-    }
-
-    fn write_unlock(&self, _pid: Pid, (): ()) {
-        self.writer_present.store(false, Ordering::Release);
-        self.writer_mutex.unlock(());
-    }
-
-    fn max_processes(&self) -> usize {
-        self.reader_flags.len()
-    }
-}
-
-impl<B: Backend> RawTryReadLock for MutantFlags<B> {
-    fn try_read_lock(&self, pid: Pid) -> Option<()> {
-        let flag = &self.reader_flags[pid.index()];
-        flag.store(true, self.raise_order());
-        if !self.writer_present.load(Ordering::SeqCst) {
-            Some(())
-        } else {
-            flag.store(false, Ordering::Relaxed);
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::async_exec::async_rw_trial;
+    use crate::harness::{mutex_trial, run_trial, rw_trial, Scenario, Trial};
+    use rmr_async::lock::AsyncRwLock;
+    use rmr_baselines::{DistributedFlagRwLock, TicketRwLock};
+    use rmr_bravo::{Bravo, BravoConfig};
+    use rmr_core::swmr::SwmrWriterPriority;
+    use rmr_mutex::sched::RoundRobin;
+    use rmr_mutex::TtasLock;
+    use std::sync::Arc;
+
+    /// One round-robin schedule of `trial` under `row`'s plan, then the
+    /// battery's vacuity check. The constructor asserts of the old lock
+    /// copies ("not a Figure 1 mutation") moved here: a row pointed at a
+    /// lock that never reaches its site is rejected by the hit check.
+    fn run_row(label: &str, trial: Trial, row: Mutation) {
+        let plan = row.plan();
+        let _ = run_trial(trial.faulted(&plan), &mut RoundRobin::default(), 30_000);
+        assert_site_hit(label, &plan);
+    }
+
+    fn rw<L: RawRwLock + 'static>(lock: L) -> Trial {
+        rw_trial(Arc::new(lock), Scenario::new(1, 1, 2), || true)
+    }
 
     #[test]
     fn controls_behave_like_the_originals_single_threaded() {
-        let lock = MutantFig1::new_in(Mutation::None, Sched);
-        let r = lock.read_lock(Pid::from_index(0));
-        lock.read_unlock(Pid::from_index(0), r);
-        let w = lock.write_lock(Pid::from_index(1));
-        lock.write_unlock(Pid::from_index(1), w);
-        assert!(lock.is_quiescent());
-
-        let ttas = MutantTtas::new_in(Mutation::None, Sched);
-        ttas.lock();
-        ttas.unlock(());
-
-        let anderson = MutantAnderson::new_in(Mutation::None, 2, Sched);
-        for _ in 0..4 {
-            let t = anderson.lock();
-            anderson.unlock(t);
-        }
-
-        let bravo = MutantBravo::new_in(Mutation::None, 2, 2, Sched);
-        let r = bravo.read_lock(Pid::from_index(0));
-        assert!(matches!(r, MutantBravoReadToken::Fast { .. }));
-        bravo.read_unlock(Pid::from_index(0), r);
-        bravo.write_lock(Pid::from_index(1));
-        bravo.write_unlock(Pid::from_index(1), ());
-        assert!(bravo.is_quiescent());
-
-        let asynk = MutantAsyncRw::new_in(Mutation::None, 2, Sched);
-        crate::async_exec::block_on_sched(async {
-            asynk.read_acquire(Pid::from_index(0)).await;
-            asynk.read_release(Pid::from_index(0));
-            asynk.write_acquire(Pid::from_index(1)).await;
-            asynk.write_release(Pid::from_index(1));
-        });
-        assert!(asynk.is_quiescent());
+        // The two surviving wrappers, driven directly (off the scheduler
+        // the Sched backend runs natively).
+        let ticket = MutantTokenlessTicket::new_in(Mutation::None, 2, Sched);
+        let (r, w) = (Pid::from_index(0), Pid::from_index(1));
+        ticket.read_lock(r);
+        ticket.read_unlock(r, ());
+        let doorway = ticket.start_write(w);
+        assert!(matches!(doorway, MutantDoorway::Queued(_)));
+        ticket.poll_write(w, doorway).expect("uncontended doorway grants");
+        ticket.write_unlock(w, ());
+        assert!(ticket.try_read_lock(r).is_some());
+        ticket.read_unlock(r, ());
 
         let swap = MutantSwap::new_in(Mutation::None, 2, 4, Sched);
         swap.reader_passage(Pid::from_index(0));
@@ -1109,37 +465,46 @@ mod tests {
         swap.reader_passage(Pid::from_index(1));
         swap.writer_passage();
         assert!(swap.is_quiescent());
-
-        let flags = MutantFlags::new_in(Mutation::None, 2, Sched);
-        flags.read_lock(Pid::from_index(0));
-        flags.read_unlock(Pid::from_index(0), ());
-        flags.write_lock(Pid::from_index(1));
-        flags.write_unlock(Pid::from_index(1), ());
-        assert!(flags.is_quiescent());
     }
 
     #[test]
-    #[should_panic(expected = "not an async mutation")]
+    #[should_panic(expected = "was never hit")]
     fn async_rejects_foreign_mutations() {
-        let _ = MutantAsyncRw::new_in(Mutation::SkipGateClose, 2, Sched);
+        let lock = Arc::new(AsyncRwLock::with_raw_and_capacity_in(
+            (),
+            TicketRwLock::new_in(2, Sched),
+            2,
+            Sched,
+        ));
+        run_row(
+            "async",
+            async_rw_trial(lock, Scenario::new(1, 1, 2), || true),
+            Mutation::SkipGateClose,
+        );
     }
 
     #[test]
-    #[should_panic(expected = "not a Figure 1 mutation")]
+    #[should_panic(expected = "was never hit")]
     fn fig1_rejects_foreign_mutations() {
-        let _ = MutantFig1::new_in(Mutation::WrongCasExpected, Sched);
+        run_row("fig1", rw(SwmrWriterPriority::new_in(Sched)), Mutation::SwapReadsFree);
     }
 
     #[test]
-    #[should_panic(expected = "not a TTAS mutation")]
+    #[should_panic(expected = "was never hit")]
     fn ttas_rejects_foreign_mutations() {
-        let _ = MutantTtas::new_in(Mutation::SkipGateClose, Sched);
+        run_row(
+            "ttas",
+            mutex_trial(Arc::new(TtasLock::new_in(Sched)), 2, 2),
+            Mutation::SkipGateClose,
+        );
     }
 
     #[test]
-    #[should_panic(expected = "not a Bravo mutation")]
+    #[should_panic(expected = "was never hit")]
     fn bravo_rejects_foreign_mutations() {
-        let _ = MutantBravo::new_in(Mutation::SkipGateClose, 2, 2, Sched);
+        let config = BravoConfig { table_slots: 2, rebias_after: 2, initial_bias: true };
+        let lock = Bravo::new_in(TicketRwLock::new_in(2, Sched), config, Sched);
+        run_row("bravo", rw(lock), Mutation::SkipGateClose);
     }
 
     #[test]
@@ -1149,8 +514,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a flags mutation")]
+    #[should_panic(expected = "was never hit")]
     fn flags_rejects_foreign_mutations() {
-        let _ = MutantFlags::new_in(Mutation::SkipGateClose, 2, Sched);
+        // Not `SwapReadsFree`: the flags lock's writer mutex is the
+        // shipped TTAS lock, so that row would (rightly) hit.
+        run_row("flags", rw(DistributedFlagRwLock::new_in(2, Sched)), Mutation::SkipGateClose);
     }
 }

@@ -206,7 +206,7 @@ impl<B: Backend> PidRegistry<B> {
         // publication ⇒ reader sees the new payload" exhaustive; with a
         // Release store the publication could sit in a write buffer while
         // the reader pins a payload the writer already freed. Guarded by
-        // the `WrongOrdering::DemotePublishEpoch` mutant (DESIGN.md §13).
+        // the `Mutation::DemotePublishEpoch` model row (DESIGN.md §13).
         self.epochs[pid.index()].store(epoch, Ordering::SeqCst);
     }
 

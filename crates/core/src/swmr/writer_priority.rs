@@ -35,7 +35,7 @@ use crate::packed::{Packed, PackedFaa};
 use crate::raw::{RawParkedWaiters, RawRwLock, RawTryReadLock};
 use crate::registry::Pid;
 use crate::side::{AtomicSide, Side};
-use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, SharedWord};
+use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, SharedWord, Site};
 use rmr_mutex::spin_until;
 use rmr_mutex::CachePadded;
 use std::fmt;
@@ -276,6 +276,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // follows it inherits this store via the RMW release chain and
         // re-reads D at its line 18; any reader registered before it is
         // drained at line 6. (See DESIGN.md §13, site F1-L3.)
+        B::site(Site::F1L3);
         self.d.store(curr, MemOrdering::Relaxed); // line 3: D ← currD
         WriterAttempt { curr, prev }
     }
@@ -310,7 +311,8 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // Release: conservatively keeps the close ordered after the side
         // drain above. (Late side-prevD registrants are diverted by their
         // line-18 re-check, which would license Relaxed, but the close is
-        // writer-slow-path code where Release is free.)
+        // writer-slow-path code where Release is free.) Site F1-L8.
+        B::site(Site::F1L8);
         prev.gate.store(false, MemOrdering::Release); // line 8: Gate[prevD] ← false
 
         // Relaxed reset: same argument as line 4, via the line-10 F&A and
@@ -489,6 +491,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
             }
             DoorwayStage::DrainPrev { must_wait: true } => {
                 // Site F1-ZPUB: publish the abandoned passage...
+                B::site(Site::F1ZPub);
                 self.zombie.store(zombie_encode(curr), MemOrdering::SeqCst);
                 // ...then re-check the drain (site F1-ZSCAN). A reader
                 // count of zero here proves every remaining reader's
@@ -523,6 +526,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         let prev = self.side(!curr);
         let old = prev.count.sub_writer(MemOrdering::SeqCst); // line 7
         debug_assert!(old.writer_waiting());
+        B::site(Site::F1L8);
         prev.gate.store(false, MemOrdering::Release); // line 8
                                                       // Empty passage's line 14: readers parked on `Gate[currD]` during
                                                       // the abandoned passage resume here. Release pairs with their
@@ -668,7 +672,9 @@ impl<B: Backend> SwmrWriterPriority<B> {
         self.exit_count.add_reader(MemOrdering::SeqCst); // line 26: F&A(EC, [0, 1])
         let old = self.side(d).count.sub_reader(MemOrdering::SeqCst); // line 27: F&A(C[d], [0, -1])
         if old == Packed::ONE_ONE {
-            // Release pairs with the writer's Acquire spin at line 6.
+            // Release pairs with the writer's Acquire spin at line 6
+            // (site F1-L28).
+            B::site(Site::F1L28);
             self.side(d).permit.store(true, MemOrdering::Release); // line 28
                                                                    // If the waiting writer was cancelled, nobody is spinning on
                                                                    // the permit we just raised: complete its abandoned passage

@@ -30,8 +30,8 @@
 //! Release/Acquire pairs; ticket draws and diagnostics are `Relaxed`. The
 //! policy is *verified, not trusted*: the [`sched`] backend's
 //! [`StoreBuffer`](sched::MemoryModel::StoreBuffer) mode model-checks the
-//! shipped code under store reordering, and `rmr-check`'s `WrongOrdering`
-//! mutants prove each relaxation class would be caught if demoted too far.
+//! shipped code under store reordering, and `rmr-check`'s `Demote*` fault
+//! rows prove each relaxation class would be caught if demoted too far.
 //!
 //! # Memory backends
 //!

@@ -41,8 +41,9 @@
 //! the site and collected in DESIGN.md §13. The annotations are verified,
 //! not trusted: the `Sched` backend's weak-memory mode (per-task store
 //! buffers with nondeterministic flush points) re-runs the full `rmr-check`
-//! batteries over the relaxed code, and `WrongOrdering` mutants prove the
-//! batteries would catch a demotion of each load-bearing site.
+//! batteries over the relaxed code, and `Demote` fault plans on the shipped
+//! code ([`Backend::site`]) prove the batteries would catch a demotion of
+//! each load-bearing site.
 //!
 //! The RMR *accounting* is deliberately ordering-blind: [`Counting`]
 //! charges a read or an update identically whatever the annotation, so the
@@ -149,6 +150,62 @@ pub trait Backend: Copy + Default + Send + Sync + 'static {
     ///
     /// Panics if `order` is `Relaxed` (like `std::sync::atomic::fence`).
     fn fence(order: Ordering);
+
+    /// Marks the calling thread's *next* operation as the tagged
+    /// load-bearing operation `site` (DESIGN.md §13). Not an operation
+    /// itself: every backend but `Sched` keeps this empty body, so their
+    /// op streams are unchanged. `Sched` overrides it to let a
+    /// [`FaultPlan`](crate::sched::FaultPlan) fault exactly that
+    /// operation in the shipped code.
+    #[inline(always)]
+    fn site(_site: Site) {}
+}
+
+/// A tagged load-bearing operation in the shipped locks — one variant per
+/// DESIGN.md §13 tag that a `rmr-check` fault row targets, and no others.
+/// The lock code calls [`Backend::site`] on the line before the tagged
+/// operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Site {
+    /// Figure 1 line 3, `D ← currD` (the writer's side flip).
+    F1L3,
+    /// Figure 1 line 8, `Gate[prevD] ← false` — in the writer's waiting
+    /// room and in the completion of an abandoned passage.
+    F1L8,
+    /// Figure 1 line 28, `Permit[d] ← true` (the last reader out).
+    F1L28,
+    /// Figure 1's cancel publishing an abandoned passage in `Zombie`.
+    F1ZPub,
+    /// The TTAS lock's acquire swap.
+    TtSwap,
+    /// The Anderson unlock closing its own slot.
+    AnClose,
+    /// The flags baseline reader's flag raise (reader half of BL-FLAGS).
+    BlFlags,
+    /// Bravo's revoking writer clearing the bias.
+    BrClear,
+    /// Bravo's revoking writer scanning the visible-readers table.
+    BrScan,
+    /// The waker table's wake-scan skip checks on the parked counts.
+    AsCount,
+}
+
+/// The site's tag as it appears in DESIGN.md §13 and code comments.
+impl fmt::Display for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Site::F1L3 => "F1-L3",
+            Site::F1L8 => "F1-L8",
+            Site::F1L28 => "F1-L28",
+            Site::F1ZPub => "F1-ZPUB",
+            Site::TtSwap => "TT-SWAP",
+            Site::AnClose => "AN-CLOSE",
+            Site::BlFlags => "BL-FLAGS",
+            Site::BrClear => "BR-CLEAR",
+            Site::BrScan => "BR-SCAN",
+            Site::AsCount => "AS-COUNT",
+        })
+    }
 }
 
 /// A shared atomic boolean; every operation takes an explicit [`Ordering`].

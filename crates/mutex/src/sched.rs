@@ -70,6 +70,22 @@
 //! visible write, and deadlock is declared only when no task can move
 //! *and* no buffered store remains to flush.
 //!
+//! # Fault plans
+//!
+//! The shipped locks call [`Backend::site`] on the line before each
+//! load-bearing operation that DESIGN.md §13 tags. Every other backend
+//! compiles the call away; [`Sched`] uses it to seed bugs into the code
+//! that ships instead of into copies of it. A task that
+//! [installs](FaultPlan::install) a [`FaultPlan`] has the operation after
+//! each call naming the plan's [`Site`] faulted: a store skipped
+//! ([`Fault::SkipStore`]), a `SeqCst` store demoted to `Release`
+//! ([`Fault::Demote`]), or a load or RMW result forced
+//! ([`Fault::ForceResult`]). Arming is not a yield point: a plan adds no
+//! scheduling decision, it only changes what one operation does. A fault
+//! that cannot apply to the operation after its site panics with the
+//! site's tag, so a misplaced tag fails loudly instead of faulting the
+//! wrong operation.
+//!
 //! # Execution model
 //!
 //! [`run_tasks`] spawns one OS thread per task, but the controller
@@ -109,7 +125,7 @@
 //! assert!(outcome.result.is_ok());
 //! ```
 
-use crate::mem::{Backend, Ordering, SharedBool, SharedWord};
+use crate::mem::{Backend, Ordering, SharedBool, SharedWord, Site};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
@@ -172,6 +188,10 @@ impl Backend for Sched {
             drain_own_buffer();
         }
     }
+
+    fn site(site: Site) {
+        arm_fault(site);
+    }
 }
 
 /// The memory model a scheduled run executes under.
@@ -232,12 +252,17 @@ impl SharedBool for SchedBool {
             Some(buffered) => buffered != 0,
             None => self.inner.load(Ordering::SeqCst),
         };
+        let v = forced_result("a load").map_or(v, |f| f != 0);
         note(self.id, Outcome::observed(OpKind::Load, u64::from(v)));
         v
     }
 
     fn store(&self, value: bool, order: Ordering) {
         step(Op { var: self.id, kind: OpKind::Update });
+        let Some(order) = faulted_store(order) else {
+            note(self.id, Outcome::observed(OpKind::Update, u64::from(value)));
+            return; // skipped: the store never happens
+        };
         if buffer_store(self.id, Target::Bool(&self.inner), u64::from(value), order) {
             return; // buffered: invisible until a flush decision lands it
         }
@@ -255,7 +280,7 @@ impl SharedBool for SchedBool {
             Outcome::Progress
         };
         note(self.id, outcome);
-        old
+        forced_result("a swap").map_or(old, |f| f != 0)
     }
 
     fn compare_exchange(
@@ -266,6 +291,7 @@ impl SharedBool for SchedBool {
         _failure: Ordering,
     ) -> Result<bool, bool> {
         step(Op { var: self.id, kind: OpKind::Update });
+        no_fault("a compare_exchange");
         drain_own_buffer();
         let r = self.inner.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst);
         let outcome = match r {
@@ -306,12 +332,17 @@ impl SharedWord for SchedWord {
             Some(buffered) => buffered,
             None => self.inner.load(Ordering::SeqCst),
         };
+        let v = forced_result("a load").unwrap_or(v);
         note(self.id, Outcome::observed(OpKind::Load, v));
         v
     }
 
     fn store(&self, value: u64, order: Ordering) {
         step(Op { var: self.id, kind: OpKind::Update });
+        let Some(order) = faulted_store(order) else {
+            note(self.id, Outcome::observed(OpKind::Update, value));
+            return;
+        };
         if buffer_store(self.id, Target::Word(&self.inner), value, order) {
             return;
         }
@@ -326,7 +357,7 @@ impl SharedWord for SchedWord {
         let outcome =
             if old == value { Outcome::observed(OpKind::Update, old) } else { Outcome::Progress };
         note(self.id, outcome);
-        old
+        forced_result("a swap").unwrap_or(old)
     }
 
     fn fetch_add(&self, delta: u64, _order: Ordering) -> u64 {
@@ -336,7 +367,7 @@ impl SharedWord for SchedWord {
         let outcome =
             if delta == 0 { Outcome::observed(OpKind::Update, old) } else { Outcome::Progress };
         note(self.id, outcome);
-        old
+        forced_result("a fetch&add/sub").unwrap_or(old)
     }
 
     fn fetch_sub(&self, delta: u64, _order: Ordering) -> u64 {
@@ -346,7 +377,7 @@ impl SharedWord for SchedWord {
         let outcome =
             if delta == 0 { Outcome::observed(OpKind::Update, old) } else { Outcome::Progress };
         note(self.id, outcome);
-        old
+        forced_result("a fetch&add/sub").unwrap_or(old)
     }
 
     fn compare_exchange(
@@ -357,6 +388,7 @@ impl SharedWord for SchedWord {
         _failure: Ordering,
     ) -> Result<u64, u64> {
         step(Op { var: self.id, kind: OpKind::Update });
+        no_fault("a compare_exchange");
         drain_own_buffer();
         let r = self.inner.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst);
         let outcome = match r {
@@ -502,6 +534,143 @@ fn scrub_var(var: u32) {
             st.apply_flush(e);
         }
     })
+}
+
+// ---------------------------------------------------------------------
+// Fault plans
+// ---------------------------------------------------------------------
+
+/// What a [`FaultPlan`] does to the operation right after its [`Site`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// The store never happens.
+    SkipStore,
+    /// A `SeqCst` store enters the store buffer as `Release` — invisible
+    /// under [`MemoryModel::SeqCst`], where every store lands at once.
+    Demote,
+    /// The load, or the old value of a swap or fetch&add/sub, reads this
+    /// value (`0`/`1` for a boolean). An RMW still writes memory.
+    ForceResult(u64),
+}
+
+/// One seeded bug in the *shipped* code: a [`Fault`] applied to the
+/// operation right after every [`Backend::site`] call that names the
+/// plan's [`Site`], on each thread that [`installed`](Self::install) it.
+/// The empty plan ([`FaultPlan::none`]) faults nothing — the control.
+///
+/// Clones share one hit counter, so a battery can assert its site was
+/// reached at all (a fault that never fires proves nothing).
+#[derive(Debug, Clone, Default)]
+pub struct FaultPlan {
+    row: Option<(Site, Fault)>,
+    hits: Arc<AtomicU64>,
+}
+
+impl FaultPlan {
+    /// The empty plan: nothing is faulted.
+    pub fn none() -> Self {
+        Self::default()
+    }
+
+    /// Faults every operation tagged `site` with `fault`.
+    pub fn at(site: Site, fault: Fault) -> Self {
+        Self { row: Some((site, fault)), hits: Arc::default() }
+    }
+
+    /// The plan's `(site, fault)` row; `None` for the empty plan.
+    pub fn row(&self) -> Option<(Site, Fault)> {
+        self.row
+    }
+
+    /// How many operations this plan (and its clones) has faulted.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Arms the plan on the calling thread for the rest of its life. Call
+    /// it first thing in a scheduled task's body; [`Sched`] task threads
+    /// live for one run, so the plan never outlives it.
+    pub fn install(&self) {
+        let _ = FAULT.try_with(|f| {
+            *f.borrow_mut() = self.row.map(|_| Installed { plan: self.clone(), armed: false });
+        });
+    }
+}
+
+/// A thread's installed plan, and whether its site is armed for the next
+/// operation.
+struct Installed {
+    plan: FaultPlan,
+    armed: bool,
+}
+
+thread_local! {
+    static FAULT: RefCell<Option<Installed>> = const { RefCell::new(None) };
+}
+
+/// `Sched::site`: arms the calling thread's plan if it names `site`. Not
+/// a yield point — no shared memory is touched.
+fn arm_fault(site: Site) {
+    let _ = FAULT.try_with(|f| {
+        let mut f = f.borrow_mut();
+        let Some(state) = f.as_mut().filter(|s| s.plan.row.is_some_and(|(at, _)| at == site))
+        else {
+            return;
+        };
+        assert!(
+            !state.armed || std::thread::panicking(),
+            "site {site} armed twice with no operation in between: misplaced site tag"
+        );
+        state.armed = true;
+    });
+}
+
+/// Consumes the armed fault, if any (counting the hit). Nothing faults
+/// during an unwind: a guard drop must not turn one panic into two.
+fn take_fault() -> Option<(Site, Fault)> {
+    FAULT
+        .try_with(|f| {
+            let mut f = f.borrow_mut();
+            let state = f.as_mut()?;
+            if !std::mem::take(&mut state.armed) || std::thread::panicking() {
+                return None;
+            }
+            state.plan.hits.fetch_add(1, Ordering::Relaxed);
+            state.plan.row
+        })
+        .ok()
+        .flatten()
+}
+
+/// Panics: the armed fault cannot apply to the operation that followed
+/// its site, so the tag sits on the wrong line.
+fn misplaced(site: Site, fault: Fault, op: &str) -> ! {
+    panic!("{fault:?} armed at site {site} met {op}, which it cannot fault: misplaced site tag")
+}
+
+/// The value a load or RMW must report instead of the real one.
+fn forced_result(op: &str) -> Option<u64> {
+    match take_fault()? {
+        (_, Fault::ForceResult(v)) => Some(v),
+        (site, fault) => misplaced(site, fault, op),
+    }
+}
+
+/// The ordering a store proceeds with, or `None` if it is skipped.
+fn faulted_store(order: Ordering) -> Option<Ordering> {
+    match take_fault() {
+        None => Some(order),
+        Some((_, Fault::SkipStore)) => None,
+        Some((_, Fault::Demote)) if order == Ordering::SeqCst => Some(Ordering::Release),
+        Some((site, fault)) => misplaced(site, fault, "a store"),
+    }
+}
+
+/// Operations no fault kind applies to.
+fn no_fault(op: &str) {
+    if let Some((site, fault)) = take_fault() {
+        misplaced(site, fault, op);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1316,12 +1485,13 @@ mod tests {
     // -- weak-memory mode ---------------------------------------------
 
     /// Runs the two-task body pair under every schedule a simple DFS over
-    /// decision prefixes reaches, collecting `collect()`'s value after
-    /// each clean run. Tiny bodies only — this is exhaustive.
+    /// decision prefixes reaches (under `model`), collecting `collect()`'s
+    /// value after each clean run. Tiny bodies only — this is exhaustive.
     #[allow(clippy::type_complexity)]
-    fn weak_outcomes<T: Ord + Clone + fmt::Debug>(
+    fn outcomes_in<T: Ord + Clone + fmt::Debug>(
         mk: &dyn Fn() -> (Vec<Box<dyn FnOnce() + Send>>, Box<dyn Fn() -> T>),
         budget: u64,
+        model: MemoryModel,
     ) -> std::collections::BTreeSet<T> {
         // Depth-first over decision prefixes: re-run with `prefix`, record
         // the runnable set at each decision, then advance the deepest
@@ -1355,7 +1525,7 @@ mod tests {
             let (tasks, collect) = mk();
             let mut rec =
                 Recorder { prefix: prefix.clone(), pos: 0, seen: Vec::new(), taken: Vec::new() };
-            let out = run_tasks_in(tasks, &mut rec, budget, MemoryModel::StoreBuffer);
+            let out = run_tasks_in(tasks, &mut rec, budget, model);
             assert!(out.result.is_ok(), "litmus bodies must not fail: {:?}", out.result);
             outcomes.insert(collect());
             // Advance to the next unexplored branch.
@@ -1405,7 +1575,7 @@ mod tests {
             let collect: Box<dyn Fn() -> u64> = Box::new(move || seen.load(SeqCst));
             (tasks, collect)
         };
-        let outcomes = weak_outcomes(&mk, 10_000);
+        let outcomes = outcomes_in(&mk, 10_000, MemoryModel::StoreBuffer);
         assert!(outcomes.contains(&0), "relaxed flag must be able to overtake the data");
         assert!(outcomes.contains(&1), "the in-order outcome must of course remain");
     }
@@ -1436,7 +1606,7 @@ mod tests {
             let collect: Box<dyn Fn() -> u64> = Box::new(move || seen.load(SeqCst));
             (tasks, collect)
         };
-        let outcomes = weak_outcomes(&mk, 10_000);
+        let outcomes = outcomes_in(&mk, 10_000, MemoryModel::StoreBuffer);
         assert!(!outcomes.contains(&0), "release publication must not be overtaken: {outcomes:?}");
         assert!(outcomes.contains(&1));
     }
@@ -1586,5 +1756,175 @@ mod tests {
     #[test]
     fn backend_name() {
         assert_eq!(Sched::NAME, "sched");
+    }
+
+    // -- fault plans ----------------------------------------------------
+
+    #[test]
+    fn fault_plan_skip_store_drops_the_handoff() {
+        // Task 0 raises the flag task 1 waits on. Skipped, the raise never
+        // lands: the waiter is reported deadlocked, not hung.
+        let run = |plan: &FaultPlan| {
+            let flag = Arc::new(<Sched as Backend>::Bool::new(false));
+            let (f0, f1) = (Arc::clone(&flag), Arc::clone(&flag));
+            let (p0, p1) = (plan.clone(), plan.clone());
+            let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+                boxed(move || {
+                    p0.install();
+                    Sched::site(Site::F1L28);
+                    f0.store(true, Release);
+                }),
+                boxed(move || {
+                    p1.install();
+                    crate::spin_until(|| f1.load(Acquire));
+                }),
+            ];
+            let out = run_tasks(tasks, &mut RoundRobin::default(), 10_000);
+            (out.result, flag.load(SeqCst))
+        };
+        assert_eq!(run(&FaultPlan::none()), (Ok(()), true));
+        let plan = FaultPlan::at(Site::F1L28, Fault::SkipStore);
+        let (result, landed) = run(&plan);
+        assert!(matches!(result, Err(RunError::Deadlock { .. })), "{result:?}");
+        assert!(!landed, "a skipped store must never reach memory");
+        assert_eq!(plan.hits(), 1);
+    }
+
+    #[test]
+    fn fault_plan_demote_is_invisible_under_sc_and_reorders_under_the_store_buffer() {
+        // Store buffering with both stores SeqCst: (0, 0) is forbidden.
+        // Demoting task 0's store (a Dekker half) re-admits it — but only
+        // where stores can be buffered.
+        let mk_with = |plan: FaultPlan| {
+            move || {
+                let x = Arc::new(<Sched as Backend>::Word::new(0));
+                let y = Arc::new(<Sched as Backend>::Word::new(0));
+                let seen = Arc::new([AtomicU64::new(9), AtomicU64::new(9)]);
+                let (x0, y0, s0, p0) =
+                    (Arc::clone(&x), Arc::clone(&y), Arc::clone(&seen), plan.clone());
+                let (x1, y1, s1) = (Arc::clone(&x), Arc::clone(&y), Arc::clone(&seen));
+                let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+                    Box::new(move || {
+                        p0.install();
+                        Sched::site(Site::BlFlags);
+                        x0.store(1, SeqCst);
+                        s0[0].store(y0.load(SeqCst), SeqCst);
+                    }),
+                    Box::new(move || {
+                        y1.store(1, SeqCst);
+                        s1[1].store(x1.load(SeqCst), SeqCst);
+                    }),
+                ];
+                let collect: Box<dyn Fn() -> (u64, u64)> =
+                    Box::new(move || (seen[0].load(SeqCst), seen[1].load(SeqCst)));
+                (tasks, collect)
+            }
+        };
+        let plan = FaultPlan::at(Site::BlFlags, Fault::Demote);
+        let sb = MemoryModel::StoreBuffer;
+        assert!(!outcomes_in(&mk_with(FaultPlan::none()), 10_000, sb).contains(&(0, 0)));
+        assert!(!outcomes_in(&mk_with(plan.clone()), 10_000, MemoryModel::SeqCst).contains(&(0, 0)));
+        let hits_under_sc = plan.hits();
+        assert!(hits_under_sc > 0, "the SC half must exercise the demoted store");
+        assert!(outcomes_in(&mk_with(plan.clone()), 10_000, sb).contains(&(0, 0)));
+        assert!(plan.hits() > hits_under_sc);
+    }
+
+    #[test]
+    fn fault_plan_force_result_overrides_loads_and_rmws() {
+        // Task 1 takes the flag after task 0 raised it, with the swap's
+        // old value forced to "free"; the RMW itself still writes memory.
+        // Then a forced load reads 0 from a word holding 5.
+        let flag = Arc::new(<Sched as Backend>::Bool::new(false));
+        let word = Arc::new(<Sched as Backend>::Word::new(5));
+        let (f0, f1, w1) = (Arc::clone(&flag), Arc::clone(&flag), Arc::clone(&word));
+        let swap = FaultPlan::at(Site::TtSwap, Fault::ForceResult(0));
+        let scan = FaultPlan::at(Site::BrScan, Fault::ForceResult(0));
+        let (swap1, scan1) = (swap.clone(), scan.clone());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen1 = Arc::clone(&seen);
+        let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+            boxed(move || f0.store(true, SeqCst)),
+            boxed(move || {
+                crate::spin_until(|| f1.load(Acquire));
+                swap1.install();
+                Sched::site(Site::TtSwap);
+                let old = f1.swap(true, Acquire);
+                scan1.install();
+                Sched::site(Site::BrScan);
+                let v = w1.load(SeqCst);
+                seen1.lock().unwrap().extend([u64::from(old), v]);
+            }),
+        ];
+        let out = run_tasks(tasks, &mut RoundRobin::default(), 10_000);
+        assert!(out.result.is_ok(), "{:?}", out.result);
+        assert_eq!(*seen.lock().unwrap(), [0, 0], "forced results");
+        assert!(flag.load(SeqCst), "the faulted swap still wrote memory");
+        assert_eq!(word.load(SeqCst), 5);
+        assert_eq!((swap.hits(), scan.hits()), (1, 1));
+    }
+
+    #[test]
+    fn fault_plan_misplaced_site_panics_with_its_tag() {
+        // A store fault armed before a load, and a forced result armed
+        // before a store: the tag is on the wrong line, and the run says
+        // which one instead of faulting some other operation.
+        for store in [false, true] {
+            let fault = if store { Fault::ForceResult(1) } else { Fault::SkipStore };
+            let plan = FaultPlan::at(Site::AnClose, fault);
+            let w = Arc::new(<Sched as Backend>::Word::new(0));
+            let (w0, p0) = (Arc::clone(&w), plan.clone());
+            let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+                boxed(move || {
+                    p0.install();
+                    Sched::site(Site::AnClose);
+                    if store {
+                        w0.store(1, SeqCst);
+                    } else {
+                        let _ = w0.load(SeqCst);
+                    }
+                }),
+                boxed(|| {}),
+            ];
+            let out = run_tasks(tasks, &mut RoundRobin::default(), 1_000);
+            match out.result {
+                Err(RunError::Panic { task: 0, ref message }) => {
+                    assert!(message.contains("site AN-CLOSE"), "{message}");
+                    assert!(message.contains("misplaced site tag"), "{message}");
+                }
+                other => panic!("expected a misplaced-tag panic, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fault_plan_arming_is_not_a_yield_point_and_ignores_other_sites() {
+        // Site calls that do not match the plan (or run on a task that
+        // installed none) fault nothing and leave the schedule untouched.
+        let run = |marked: bool| {
+            let w = Arc::new(<Sched as Backend>::Word::new(0));
+            let plan = FaultPlan::at(Site::F1L3, Fault::SkipStore);
+            let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+            for installed in [true, false] {
+                let (w, plan) = (Arc::clone(&w), plan.clone());
+                tasks.push(boxed(move || {
+                    if installed {
+                        plan.install();
+                    }
+                    for _ in 0..2 {
+                        if marked {
+                            Sched::site(if installed { Site::F1L8 } else { Site::F1L3 });
+                        }
+                        w.fetch_add(1, SeqCst);
+                    }
+                }));
+            }
+            let out = run_tasks(tasks, &mut RoundRobin::default(), 1_000);
+            assert!(out.result.is_ok(), "{:?}", out.result);
+            (out.schedule, out.steps, w.load(SeqCst), plan.hits())
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true).2, 4);
+        assert_eq!(run(true).3, 0);
     }
 }

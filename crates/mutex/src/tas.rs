@@ -1,6 +1,6 @@
 //! Test-and-set and test-and-test-and-set locks (RMR-model baselines).
 
-use crate::mem::{Backend, Native, Ordering, SharedBool};
+use crate::mem::{Backend, Native, Ordering, SharedBool, Site};
 use crate::spin::SpinWait;
 use crate::RawMutex;
 use std::fmt;
@@ -140,8 +140,12 @@ impl<B: Backend> TtasLock<B> {
     /// ```
     pub fn try_lock(&self) -> bool {
         // The pre-check is a heuristic (Relaxed): correctness rides
-        // entirely on the Acquire swap that follows.
-        !self.held.load(Ordering::Relaxed) && !self.held.swap(true, Ordering::Acquire)
+        // entirely on the Acquire swap that follows (site TT-SWAP).
+        if self.held.load(Ordering::Relaxed) {
+            return false;
+        }
+        B::site(Site::TtSwap);
+        !self.held.swap(true, Ordering::Acquire)
     }
 }
 
@@ -157,8 +161,9 @@ impl<B: Backend> RawMutex for TtasLock<B> {
             while self.held.load(Ordering::Relaxed) {
                 spin.spin();
             }
-            // Global phase: one RMW attempt. Acquire pairs with the
-            // Release unlock store of the previous holder.
+            // Global phase: one RMW attempt (site TT-SWAP). Acquire
+            // pairs with the Release unlock store of the previous holder.
+            B::site(Site::TtSwap);
             if !self.held.swap(true, Ordering::Acquire) {
                 return;
             }
