@@ -369,14 +369,25 @@ impl<T: ?Sized, L: RawRwLock, B: Backend, R: Recorder> AsyncRwLock<T, L, B, R> {
         }
     }
 
+    /// The clock at the start of `pid`'s acquisition, if the recorder
+    /// times this passage ([`Recorder::sample`]); `None` when inert.
+    fn sample_start(&self, pid: Pid) -> Option<u64> {
+        (R::ENABLED && self.recorder.sample(pid.index())).then(|| self.recorder.now())
+    }
+
     /// Records one granted (future-completing) acquisition: the acquire
-    /// event, its latency since the future's first poll, and — when the
-    /// future had parked — the wake-to-grant latency.
-    fn grant_obs(&self, pid: usize, write: bool, t0: u64, parked: bool) {
-        let now = self.recorder.now();
+    /// event, its latency since `t0` for a sampled passage, and — when
+    /// the future had parked, sampled or not — the wake-to-grant latency.
+    fn grant_obs(&self, pid: usize, write: bool, t0: Option<u64>, parked: bool) {
         self.recorder.count(pid, if write { Event::WriteAcquire } else { Event::ReadAcquire });
-        let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
-        self.recorder.record(pid, metric, now.saturating_sub(t0));
+        if t0.is_none() && !parked {
+            return;
+        }
+        let now = self.recorder.now();
+        if let Some(t0) = t0 {
+            let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
+            self.recorder.record(pid, metric, now.saturating_sub(t0));
+        }
         if parked {
             let woke = self.wake_ts.load(StdOrdering::Relaxed);
             self.recorder.record(pid, Metric::WakeToGrantNs, now.saturating_sub(woke));
@@ -397,7 +408,7 @@ impl<T: ?Sized, L: RawTryReadLock, B: Backend, R: Recorder> AsyncRwLock<T, L, B,
     /// The future's first poll panics if the lock's capacity is
     /// exhausted (more concurrent acquisitions than `max_processes()`).
     pub fn read(&self) -> AsyncRead<'_, T, L, B, R> {
-        AsyncRead { lock: self, pid: None, done: false, parked: false, t0: 0 }
+        AsyncRead { lock: self, pid: None, done: false, parked: false, t0: None }
     }
 
     /// Attempts to acquire the lock for reading without blocking or
@@ -447,7 +458,7 @@ impl<T: ?Sized, L: RawParkedWaiters, B: Backend, R: Recorder> AsyncRwLock<T, L, 
     /// let _ = lock.write(); // ERROR: MwmrStarvationFree is not RawParkedWaiters
     /// ```
     pub fn write(&self) -> AsyncWrite<'_, T, L, B, R> {
-        AsyncWrite { lock: self, pid: None, stage: WriteStage::Claiming, parked: false, t0: 0 }
+        AsyncWrite { lock: self, pid: None, stage: WriteStage::Claiming, parked: false, t0: None }
     }
 }
 
@@ -498,7 +509,7 @@ impl<T: ?Sized, L: RawMultiWriter, B: Backend, R: Recorder> AsyncRwLock<T, L, B,
     )]
     pub fn write_blocking(&self) -> AsyncWriteGuard<'_, T, L, B, R> {
         let pid = self.allocate_pid();
-        let t0 = if R::ENABLED { self.recorder.now() } else { 0 };
+        let t0 = self.sample_start(pid);
         let token = spin::with_park_hint(std::thread::yield_now, || self.raw.write_lock(pid));
         if R::ENABLED {
             self.grant_obs(pid.index(), true, t0, false);
@@ -537,8 +548,8 @@ pub struct AsyncRead<'l, T: ?Sized, L: RawRwLock, B: Backend, R: Recorder = Noop
     /// Whether this future ever returned `Pending` — a granted parked
     /// future records its wake-to-grant latency.
     parked: bool,
-    /// `recorder.now()` at the first poll (0 when inert).
-    t0: u64,
+    /// `recorder.now()` at the first poll, for a sampled passage.
+    t0: Option<u64>,
 }
 
 impl<'l, T: ?Sized, L: RawTryReadLock, B: Backend, R: Recorder> Future
@@ -553,10 +564,9 @@ impl<'l, T: ?Sized, L: RawTryReadLock, B: Backend, R: Recorder> Future
         let pid = match this.pid {
             Some(pid) => pid,
             None => {
-                if R::ENABLED {
-                    this.t0 = lock.recorder.now();
-                }
-                *this.pid.insert(lock.allocate_pid())
+                let pid = lock.allocate_pid();
+                this.t0 = lock.sample_start(pid);
+                *this.pid.insert(pid)
             }
         };
         if let Some(token) = lock.raw.try_read_lock(pid) {
@@ -649,8 +659,8 @@ pub struct AsyncWrite<'l, T: ?Sized, L: RawParkedWaiters, B: Backend, R: Recorde
     /// Whether this future ever returned `Pending` — a granted parked
     /// future records its wake-to-grant latency.
     parked: bool,
-    /// `recorder.now()` at the first poll (0 when inert).
-    t0: u64,
+    /// `recorder.now()` at the first poll, for a sampled passage.
+    t0: Option<u64>,
 }
 
 // The future owns the doorway by value and holds no self-references, so
@@ -685,10 +695,9 @@ impl<'l, T: ?Sized, L: RawParkedWaiters, B: Backend, R: Recorder> Future
         let pid = match this.pid {
             Some(pid) => pid,
             None => {
-                if R::ENABLED {
-                    this.t0 = lock.recorder.now();
-                }
-                *this.pid.insert(lock.allocate_pid())
+                let pid = lock.allocate_pid();
+                this.t0 = lock.sample_start(pid);
+                *this.pid.insert(pid)
             }
         };
         if matches!(this.stage, WriteStage::Claiming) {

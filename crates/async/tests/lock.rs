@@ -316,6 +316,30 @@ fn recorder_sees_parks_wakes_grants_and_cancels() {
 }
 
 #[test]
+fn parked_passage_records_wake_to_grant_even_when_untimed() {
+    use rmr_obs::{Event, Metric, Recorder, StatsRecorder};
+    let rec = Arc::new(StatsRecorder::new(8));
+    let lock = AsyncRwLock::with_raw(0u64, TicketRwLock::new(8)).with_recorder(Arc::clone(&rec));
+    // Spend every pid's first (timed) passage, so the passages below are
+    // all untimed by the sampler.
+    for pid in 0..8 {
+        assert!(rec.sample(pid));
+    }
+    let wg = block_on(lock.write());
+    let mut fut = pin!(lock.read());
+    assert!(poll_once(fut.as_mut()).is_pending(), "the reader parks behind the writer");
+    drop(wg);
+    let Poll::Ready(guard) = poll_once(fut.as_mut()) else { panic!("the release woke the reader") };
+    drop(guard);
+    assert_eq!(rec.counter(Event::WriteAcquire), 1);
+    assert_eq!(rec.counter(Event::ReadAcquire), 1);
+    assert_eq!(rec.samples(Metric::WriteAcquireNs), 0, "untimed passage");
+    assert_eq!(rec.samples(Metric::ReadAcquireNs), 0, "untimed passage");
+    assert_eq!(rec.samples(Metric::WakeToGrantNs), 1, "a park always records its grant");
+    assert!(lock.is_quiescent());
+}
+
+#[test]
 fn debug_formats() {
     let lock = ticket_lock(9);
     assert!(format!("{lock:?}").contains("AsyncRwLock"));

@@ -8,13 +8,15 @@
 //! 2. **Zero-cost-when-off, by construction**: the same passages over
 //!    the `Counting` backend — the Noop-instrumented lock must execute
 //!    an op-for-op identical shared-memory footprint to the bare lock,
-//!    and a `StatsRecorder`-instrumented Bravo fast read must still
-//!    perform zero inner-lock operations and zero CC RMRs. The binary
-//!    exits nonzero if either claim fails.
+//!    so must the `StatsRecorder`-instrumented one over at least
+//!    2 × `SAMPLE_EVERY` passages (timed and untimed alike), and a
+//!    `StatsRecorder`-instrumented Bravo fast read must still perform
+//!    zero inner-lock operations and zero CC RMRs. The binary exits
+//!    nonzero if any claim fails.
 //! 3. **Latency distributions**: a contended mixed workload over an
 //!    instrumented lock, reported as log-bucket p50/p99 acquire
-//!    latencies with contended-passage counts — the rows
-//!    `bench_summary` twins under `@obs`.
+//!    latencies of the timed passages, with contended-passage counts —
+//!    the rows `bench_summary` twins under `@obs`.
 //!
 //! ```text
 //! cargo run --release -p rmr-bench --bin obs_table [-- --quick --json --trace-out FILE]
@@ -35,7 +37,7 @@ use rmr_core::registry::Pid;
 use rmr_core::swmr::SwmrWriterPriority;
 use rmr_core::Observed;
 use rmr_mutex::mem::{self, Counting};
-use rmr_obs::{Event, Metric, NoopRecorder, StatsRecorder};
+use rmr_obs::{Event, Metric, NoopRecorder, StatsRecorder, SAMPLE_EVERY};
 use std::sync::Arc;
 
 struct Args {
@@ -170,6 +172,27 @@ fn main() {
         "NoopRecorder instrumentation changed the shared-memory footprint"
     );
 
+    // A live, sampling StatsRecorder over the same passages: over at
+    // least 2 × SAMPLE_EVERY passages (n read + write pairs) both timed
+    // and untimed ones occur, and neither may add a shared-memory op —
+    // the sampler's tick, like every hook, lives in the recorder's
+    // plain std atomics.
+    assert!(u64::from(n) >= SAMPLE_EVERY, "too few passages to cover the sampler");
+    let rec = Arc::new(StatsRecorder::new(cap));
+    let stats_tally = counted_footprint(
+        &Observed::new(MwmrStarvationFree::new_in(cap, Counting), Arc::clone(&rec)),
+        n,
+    );
+    assert_eq!(
+        bare_tally, stats_tally,
+        "StatsRecorder instrumentation changed the shared-memory footprint"
+    );
+    let counted = 2 * (u64::from(n) + 1); // warm-up pair included
+    let acquired = rec.counter(Event::ReadAcquire) + rec.counter(Event::WriteAcquire);
+    assert_eq!(acquired, counted, "hooks missed passages");
+    let timed = rec.samples(Metric::ReadAcquireNs) + rec.samples(Metric::WriteAcquireNs);
+    assert_eq!(timed, counted.div_ceil(SAMPLE_EVERY), "sampler off its period");
+
     // A live StatsRecorder on Bravo's fast path: still zero inner-lock
     // ops, still zero CC RMRs — the recorder writes only to the calling
     // pid's own padded std-atomic slot.
@@ -254,8 +277,9 @@ fn main() {
         print!("{}", overhead.emit(false));
         println!();
         println!(
-            "Zero-cost proofs held: noop-instrumented footprint identical over `Counting` \
-             ({} ops), instrumented Bravo fast read still 0 inner ops / 0 CC RMRs.\n",
+            "Zero-cost proofs held: noop- and stats-instrumented footprints identical over \
+             `Counting` ({} ops; stats timed {timed} of {counted} passages), instrumented \
+             Bravo fast read still 0 inner ops / 0 CC RMRs.\n",
             bare_tally.ops
         );
         println!("## Contended acquire latency (log-bucket quantiles)\n");

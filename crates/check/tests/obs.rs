@@ -10,10 +10,12 @@
 //! seeded, replayable failure.
 
 use rmr_async::lock::AsyncRwLock;
-use rmr_check::harness::{randomized_batteries, Scenario, Trial};
+use rmr_check::harness::{randomized_batteries, run_trial, Scenario, Trial};
 use rmr_check::obs::{guard_balance_trial, obs_recorder, park_wake_trial};
+use rmr_check::strategies::RandomWalk;
 use rmr_core::mwmr::MwmrStarvationFree;
 use rmr_mutex::Sched;
+use rmr_obs::{hist, Metric, SAMPLE_EVERY};
 use std::sync::Arc;
 
 const BUDGET: u64 = 30_000;
@@ -57,4 +59,38 @@ fn park_wake_over_async_ticket_randomized() {
         );
         park_wake_trial(lock, Scenario::new(2, 1, 2))
     });
+}
+
+#[test]
+fn sampled_histograms_replay_under_the_same_seed() {
+    // Sampled timing keeps replay intact: the sampler is a pure function
+    // of each pid's passage count and TickClock of the schedule, so one
+    // seed run twice yields the same schedule, the same histograms and
+    // the same trace. SAMPLE_EVERY + 1 passages per task make each pid
+    // time some passages and skip others.
+    let attempts = SAMPLE_EVERY as u32 + 1;
+    let run = || {
+        let rec = obs_recorder(4, 4096);
+        let trial = guard_balance_trial(
+            MwmrStarvationFree::new_in(4, Sched),
+            Scenario::new(1, 1, attempts),
+            Arc::clone(&rec),
+        );
+        let outcome = run_trial(trial, &mut RandomWalk::new(0x0b5_0002), 1_000_000);
+        assert!(outcome.result.is_ok(), "{:?}", outcome.result);
+        let hists = [Metric::ReadAcquireNs, Metric::WriteAcquireNs].map(|m| {
+            let h = rec.histogram(m);
+            (0..hist::BUCKETS).map(|i| h.bucket(i)).collect::<Vec<_>>()
+        });
+        let timed = rec.samples(Metric::ReadAcquireNs) + rec.samples(Metric::WriteAcquireNs);
+        assert!(
+            (2..2 * u64::from(attempts)).contains(&timed),
+            "{timed} of {} passages timed: some, never all",
+            2 * attempts
+        );
+        (outcome.schedule, hists, rec.drain_trace())
+    };
+    let first = run();
+    assert!(!first.2.is_empty());
+    assert!(first == run(), "same seed, different schedule, histograms or trace");
 }

@@ -4,8 +4,9 @@
 //! This is the instrumentation story for code that works at the *raw*
 //! tier (the bench workload drivers, compositions like
 //! `Observed<Bravo<…>>`): wrap any [`RawRwLock`] and every acquire,
-//! release and bounded attempt is counted, classified
-//! contended-vs-uncontended, and latency-histogrammed — while the
+//! release and bounded attempt is counted and classified
+//! contended-vs-uncontended, and the acquisitions the recorder samples
+//! ([`Recorder::sample`]) are latency-histogrammed — while the
 //! wrapper forwards each optional capability exactly like `rmr-bravo`'s
 //! reference wrapper ([`RawTryReadLock`] where the inner lock has it,
 //! [`RawMultiWriter`] **only** where the inner lock is one, so the typed
@@ -37,21 +38,23 @@ use rmr_mutex::spin;
 use rmr_obs::{Event, Metric, Recorder};
 use std::fmt;
 
-/// Begin-of-acquisition sample: recorder clock + this thread's spin
-/// tally. Only taken when `R::ENABLED`.
+/// Begin-of-acquisition state: the recorder clock, when this passage is
+/// sampled, and this thread's spin tally. Only taken when `R::ENABLED`.
 pub(crate) struct AcquireSample {
-    t0: u64,
+    t0: Option<u64>,
     spins0: u64,
 }
 
-/// Samples the clock and spin tally before a blocking acquisition.
-pub(crate) fn acquire_begin<R: Recorder>(rec: &R) -> AcquireSample {
-    AcquireSample { t0: rec.now(), spins0: spin::thread_spin_tally() }
+/// Samples the spin tally before a blocking acquisition, and the clock
+/// too when the recorder times this passage ([`Recorder::sample`]).
+pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize) -> AcquireSample {
+    AcquireSample { t0: rec.sample(pid).then(|| rec.now()), spins0: spin::thread_spin_tally() }
 }
 
 /// Records one completed blocking acquisition: the acquire event, the
 /// contended classification + spin count (when any iteration was
-/// futile), and the latency sample.
+/// futile) — all exact on every passage — and, for a sampled passage,
+/// the latency sample.
 pub(crate) fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: AcquireSample) {
     let spun = spin::thread_spin_tally().saturating_sub(s.spins0);
     rec.count(pid, if write { Event::WriteAcquire } else { Event::ReadAcquire });
@@ -59,8 +62,10 @@ pub(crate) fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: Acqu
         rec.count(pid, if write { Event::WriteContended } else { Event::ReadContended });
         rec.add(pid, Event::SpinSteps, spun);
     }
-    let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
-    rec.record(pid, metric, rec.now().saturating_sub(s.t0));
+    if let Some(t0) = s.t0 {
+        let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
+        rec.record(pid, metric, rec.now().saturating_sub(t0));
+    }
 }
 
 /// Any raw lock, with every passage reported to a [`Recorder`].
@@ -113,7 +118,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
 
     fn read_lock(&self, pid: Pid) -> Self::ReadToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index());
             let token = self.inner.read_lock(pid);
             acquire_end(&self.recorder, pid.index(), false, s);
             token
@@ -131,7 +136,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
 
     fn write_lock(&self, pid: Pid) -> Self::WriteToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index());
             let token = self.inner.write_lock(pid);
             acquire_end(&self.recorder, pid.index(), true, s);
             token
@@ -222,9 +227,10 @@ mod tests {
 
     #[test]
     fn counts_acquires_releases_and_try_attempts() {
+        use rmr_obs::SAMPLE_EVERY;
         let rec = Arc::new(StatsRecorder::new(4));
         let lock = Observed::new(MwmrStarvationFree::new(4), Arc::clone(&rec));
-        let me = Pid::from_index(0);
+        let (me, other) = (Pid::from_index(0), Pid::from_index(1));
 
         let t = lock.read_lock(me);
         lock.read_unlock(me, t);
@@ -232,14 +238,23 @@ mod tests {
         lock.write_unlock(me, t);
         let t = lock.try_read_lock(me).expect("uncontended");
         lock.read_unlock(me, t);
+        for _ in 0..SAMPLE_EVERY + 1 {
+            let t = lock.write_lock(other);
+            lock.write_unlock(other, t);
+        }
 
+        // Counters are exact on every passage.
         assert_eq!(rec.counter(Event::ReadAcquire), 1);
         assert_eq!(rec.counter(Event::ReadRelease), 2);
-        assert_eq!(rec.counter(Event::WriteAcquire), 1);
-        assert_eq!(rec.counter(Event::WriteRelease), 1);
+        assert_eq!(rec.counter(Event::WriteAcquire), 2 + SAMPLE_EVERY);
+        assert_eq!(rec.counter(Event::WriteRelease), 2 + SAMPLE_EVERY);
         assert_eq!(rec.counter(Event::TryReadOk), 1);
+        // Latency is sampled per pid: ceil(passages / SAMPLE_EVERY)
+        // samples each, the first passage always among them. `me`'s two
+        // blocking passages time the read (the try attempt is not a
+        // timed passage); `other`'s SAMPLE_EVERY + 1 writes time two.
         assert_eq!(rec.samples(Metric::ReadAcquireNs), 1);
-        assert_eq!(rec.samples(Metric::WriteAcquireNs), 1);
+        assert_eq!(rec.samples(Metric::WriteAcquireNs), 2);
     }
 
     #[test]

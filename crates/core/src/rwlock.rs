@@ -211,8 +211,9 @@ pub fn release_pid(registry: &Arc<PidRegistry>, pid: Pid, source: PidSource) {
 /// const-folds away, so the default lock is bit-identical to the
 /// uninstrumented one (the `Counting` backend proves it op for op).
 /// [`RwLock::with_recorder`] swaps in a live recorder — typically an
-/// `Arc<StatsRecorder>` — and every passage is then counted, classified
-/// contended/uncontended and latency-histogrammed.
+/// `Arc<StatsRecorder>` — and every passage is then counted and
+/// classified contended/uncontended, and the passages the recorder
+/// samples ([`Recorder::sample`]) are latency-histogrammed.
 pub struct RwLock<T: ?Sized, L, R = NoopRecorder> {
     pub(crate) raw: L,
     pub(crate) registry: Arc<PidRegistry>,
@@ -472,7 +473,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// const-folds to the bare `read_lock` call.
     fn locked_read(&self, pid: Pid) -> L::ReadToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index());
             let token = self.raw.read_lock(pid);
             acquire_end(&self.recorder, pid.index(), false, s);
             token
@@ -485,7 +486,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// see [`RwLock::locked_read`].
     fn locked_write(&self, pid: Pid) -> L::WriteToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index());
             let token = self.raw.write_lock(pid);
             acquire_end(&self.recorder, pid.index(), true, s);
             token
@@ -1072,22 +1073,29 @@ mod tests {
 
     #[test]
     fn recorder_observes_typed_passages() {
-        use rmr_obs::{Event, Metric, StatsRecorder};
+        use rmr_obs::{Event, Metric, StatsRecorder, SAMPLE_EVERY};
         let rec = Arc::new(StatsRecorder::new(4));
         let lock = RwLock::starvation_free(0u32, 4).with_recorder(Arc::clone(&rec));
         *lock.write() += 1;
         assert_eq!(*lock.read(), 1);
         drop(lock.try_read().expect("no writer active"));
-        // Handle path reports through the same hooks.
+        // Handle path reports through the same hooks, on its own pid.
         let mut h = lock.register().unwrap();
-        assert_eq!(*h.read(), 1);
+        for _ in 0..2 * SAMPLE_EVERY {
+            assert_eq!(*h.read(), 1);
+        }
+        // Counters are exact on every passage.
         assert_eq!(rec.counter(Event::WriteAcquire), 1);
         assert_eq!(rec.counter(Event::WriteRelease), 1);
-        assert_eq!(rec.counter(Event::ReadAcquire), 2);
-        assert_eq!(rec.counter(Event::ReadRelease), 3);
+        assert_eq!(rec.counter(Event::ReadAcquire), 1 + 2 * SAMPLE_EVERY);
+        assert_eq!(rec.counter(Event::ReadRelease), 2 + 2 * SAMPLE_EVERY);
         assert_eq!(rec.counter(Event::TryReadOk), 1);
-        assert_eq!(rec.samples(Metric::ReadAcquireNs), 2);
+        // Timing is sampled: each pid times ceil(passages / SAMPLE_EVERY)
+        // of its blocking passages, starting with its first. The leased
+        // pid's two (write, read) time the write; the handle's pid times
+        // two of its reads.
         assert_eq!(rec.samples(Metric::WriteAcquireNs), 1);
+        assert_eq!(rec.samples(Metric::ReadAcquireNs), 2);
     }
 
     #[test]

@@ -20,10 +20,15 @@
 //!   of event counters ([`Event`]) and log-bucketed HDR-style latency
 //!   histograms ([`Metric`], [`hist::Histogram`]), plus an optional
 //!   bounded lock-free event ring ([`ring::EventRing`]) that replays as
-//!   Chrome `trace_event` JSON. A recorder write is a handful of
-//!   `Relaxed` operations on this pid's own cache-padded slot —
-//!   **deliberately plain `std` atomics, not memory-backend-typed**, so
-//!   instrumentation never pollutes `Counting` RMR tallies and never
+//!   Chrome `trace_event` JSON. Counters are exact on every passage;
+//!   acquisition *timing* is sampled, one passage in [`SAMPLE_EVERY`]
+//!   per pid ([`Recorder::sample`]), because a clock read costs more
+//!   than an uncontended passage and every timed passage pays two. The
+//!   sampler is a pure function of each pid's passage count, so a
+//!   `Sched` run under [`TickClock`] replays the same histograms. A
+//!   recorder write is a handful of `Relaxed` operations on this pid's
+//!   own cache-padded slot — **deliberately plain `std` atomics, not
+//!   memory-backend-typed**, so instrumentation never pollutes `Counting` RMR tallies and never
 //!   perturbs `Sched` schedules. That locality argument is also why the
 //!   hooks preserve the paper's properties: a steady-state Bravo fast
 //!   read with a `StatsRecorder` attached still performs zero inner-lock
@@ -160,6 +165,16 @@ event_enum! {
     }
 }
 
+/// [`StatsRecorder`] times one blocking acquisition in this many per pid
+/// — the first, then every `SAMPLE_EVERY`-th ([`Recorder::sample`]).
+///
+/// A constant, not a constructor option, so every recorder's sample
+/// counts compare directly: a pid that completes `n` blocking
+/// acquisitions records `ceil(n / SAMPLE_EVERY)` latency samples. One tick is shared
+/// by a pid's reads and writes, so a pid that strictly alternates them
+/// only ever times the kind it started with.
+pub const SAMPLE_EVERY: u64 = 64;
+
 /// The instrumentation hook every tier is generic over.
 ///
 /// Implementations must be cheap and must never block: hook sites sit on
@@ -186,6 +201,14 @@ pub trait Recorder: Send + Sync {
     /// Counts one occurrence of `event` for `pid`.
     fn count(&self, pid: usize, event: Event) {
         self.add(pid, event, 1);
+    }
+
+    /// Whether the passage `pid` is starting should be timed. Hook sites
+    /// call this once per blocking acquisition and read the clock only
+    /// when it says so; counters are recorded on every passage either
+    /// way. The default times every passage.
+    fn sample(&self, _pid: usize) -> bool {
+        true
     }
 }
 
@@ -230,6 +253,11 @@ impl<R: Recorder> Recorder for &R {
     fn record(&self, pid: usize, metric: Metric, value: u64) {
         (**self).record(pid, metric, value);
     }
+
+    #[inline]
+    fn sample(&self, pid: usize) -> bool {
+        (**self).sample(pid)
+    }
 }
 
 impl<R: Recorder> Recorder for Arc<R> {
@@ -249,15 +277,32 @@ impl<R: Recorder> Recorder for Arc<R> {
     fn record(&self, pid: usize, metric: Metric, value: u64) {
         (**self).record(pid, metric, value);
     }
+
+    #[inline]
+    fn sample(&self, pid: usize) -> bool {
+        (**self).sample(pid)
+    }
 }
 
-/// One pid's slot: event counters plus one histogram per metric, padded
-/// to its own cache lines so recording never shares a line with another
-/// pid (the zero-CC-RMR argument for instrumented steady-state reads).
+/// One pid's slot: event counters, one histogram per metric and the
+/// sampler's passage tick, padded to its own cache lines so no two slots
+/// share a line (the zero-CC-RMR argument for instrumented steady-state
+/// reads).
+///
+/// A slot is private to its pid only within one pid space. Tiers with
+/// separate registries may share a recorder — a `Snapshot` and an
+/// `RwLock` each lease pid 0 to different threads — and out-of-range
+/// pids fold onto a slot, so two threads can record into one slot at
+/// once. That costs locality, never data: counters and histogram
+/// buckets are `fetch_add`s and lose nothing, and the one plain
+/// load-then-store, the `tick`, can at worst drop an increment, which
+/// shifts which passage gets timed but not how many are counted.
 #[repr(align(128))]
 struct Slot {
     counters: [AtomicU64; Event::COUNT],
     hists: [Histogram; Metric::COUNT],
+    /// Passages this slot's sampler has seen ([`Recorder::sample`]).
+    tick: AtomicU64,
 }
 
 impl Slot {
@@ -265,6 +310,7 @@ impl Slot {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| Histogram::new()),
+            tick: AtomicU64::new(0),
         }
     }
 }
@@ -388,6 +434,18 @@ impl<C: Clock> Recorder for StatsRecorder<C> {
             ring.push(TraceEvent::metric(self.clock.now(), pid, metric, value));
         }
     }
+
+    /// Times the first passage of each pid and every [`SAMPLE_EVERY`]-th
+    /// after it. The tick is a load and a store, not an RMW: the slot is
+    /// this pid's, and a lost increment in a shared slot only shifts the
+    /// sampling phase (see `Slot`).
+    #[inline]
+    fn sample(&self, pid: usize) -> bool {
+        let tick = &self.slot(pid).tick;
+        let n = tick.load(Ordering::Relaxed);
+        tick.store(n.wrapping_add(1), Ordering::Relaxed);
+        n.is_multiple_of(SAMPLE_EVERY)
+    }
 }
 
 impl<C: Clock> fmt::Debug for StatsRecorder<C> {
@@ -422,6 +480,25 @@ mod tests {
         assert_eq!(rec.counter_for(0, Event::ReadAcquire), 1);
         assert_eq!(rec.counter_for(1, Event::SpinSteps), 7);
         assert_eq!(rec.counter(Event::WriteAcquire), 0);
+    }
+
+    #[test]
+    fn sampler_times_first_passage_then_every_period_per_pid() {
+        // The indices, among `n` further passages of `pid`, that are timed.
+        fn timed(rec: &impl Recorder, pid: usize, n: u64) -> Vec<u64> {
+            (0..n).filter(|_| rec.sample(pid)).collect()
+        }
+        let rec = StatsRecorder::new(2);
+        assert_eq!(timed(&rec, 0, 3 * SAMPLE_EVERY), [0, SAMPLE_EVERY, 2 * SAMPLE_EVERY]);
+        // Pid 1 has its own tick: pid 0's passages did not advance it.
+        assert_eq!(timed(&rec, 1, 2), [0]);
+        assert_eq!(timed(&rec, 1, SAMPLE_EVERY), [SAMPLE_EVERY - 2]);
+        assert_eq!(timed(&rec, 0, 1), [0], "pid 0 resumes at a period boundary");
+        // Forwarding through `&R` and `Arc<R>` advances the same tick.
+        let shared = Arc::new(StatsRecorder::new(1));
+        assert_eq!(timed(&shared, 0, 1), [0]);
+        assert_eq!(timed(&&*shared, 0, SAMPLE_EVERY), [SAMPLE_EVERY - 1]);
+        assert_eq!(timed(&NoopRecorder, 0, 3), [0, 1, 2], "the default times every passage");
     }
 
     #[test]
