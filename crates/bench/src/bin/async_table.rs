@@ -27,6 +27,7 @@ use rmr_async::exec::block_on;
 use rmr_async::AsyncRwLock;
 use rmr_baselines::TicketRwLock;
 use rmr_bench::cli::{BenchArgs, Table};
+use rmr_bench::timing::summed_throughput;
 use rmr_bench::workloads::{run_async_mixed, run_async_read_mostly, run_mixed, Workload};
 use rmr_bravo::Bravo;
 use rmr_core::mwmr::MwmrStarvationFree;
@@ -58,87 +59,68 @@ fn main() {
             Workload { threads: THREADS, read_ratio: f64::from(read_pct) / 100.0, ops_per_thread };
 
         // Spinning baseline on the same raw lock.
-        let mut ops = 0u64;
-        let mut secs = 0f64;
-        run_mixed(Arc::new(TicketRwLock::new(THREADS)), workload, SEED); // warm-up
-        for _ in 0..reps {
-            let res = run_mixed(Arc::new(TicketRwLock::new(THREADS)), workload, SEED);
-            ops += res.ops;
-            secs += res.elapsed.as_secs_f64();
-        }
+        let res = summed_throughput(reps, |_| {
+            run_mixed(Arc::new(TicketRwLock::new(THREADS)), workload, SEED)
+        });
         table.row(vec![
             "ticket-rw".into(),
             "spin".into(),
             read_pct.to_string(),
-            ops.to_string(),
-            format!("{:.1}", ops as f64 / secs),
+            res.ops.to_string(),
+            format!("{:.1}", res.ops_per_sec()),
             "-".into(),
         ]);
 
         // Async over the bare ticket lock.
         {
-            let mut ops = 0u64;
-            let mut secs = 0f64;
             let mut wakeups = 0u64;
-            run_async_mixed(
-                Arc::new(AsyncRwLock::with_raw(0u64, TicketRwLock::new(THREADS))),
-                workload,
-                SEED,
-            );
-            for _ in 0..reps {
+            let res = summed_throughput(reps, |timed| {
                 let lock = Arc::new(AsyncRwLock::with_raw(0u64, TicketRwLock::new(THREADS)));
                 let res = run_async_mixed(Arc::clone(&lock), workload, SEED);
-                ops += res.ops;
-                secs += res.elapsed.as_secs_f64();
-                wakeups += lock.wakeups();
-                if !lock.is_quiescent() {
-                    failures.push(format!("async-ticket-rw @ {read_pct}% reads: not quiescent"));
+                if timed {
+                    wakeups += lock.wakeups();
+                    if !lock.is_quiescent() {
+                        failures
+                            .push(format!("async-ticket-rw @ {read_pct}% reads: not quiescent"));
+                    }
                 }
-            }
+                res
+            });
             table.row(vec![
                 "async-ticket-rw".into(),
                 "park".into(),
                 read_pct.to_string(),
-                ops.to_string(),
-                format!("{:.1}", ops as f64 / secs),
+                res.ops.to_string(),
+                format!("{:.1}", res.ops_per_sec()),
                 wakeups.to_string(),
             ]);
         }
 
         // Async over the Bravo-wrapped ticket lock.
         {
-            let mut ops = 0u64;
-            let mut secs = 0f64;
             let mut wakeups = 0u64;
-            run_async_mixed(
-                Arc::new(AsyncRwLock::with_raw_and_capacity(
-                    0u64,
-                    Bravo::new(TicketRwLock::new(THREADS)),
-                    THREADS,
-                )),
-                workload,
-                SEED,
-            );
-            for _ in 0..reps {
+            let res = summed_throughput(reps, |timed| {
                 let lock = Arc::new(AsyncRwLock::with_raw_and_capacity(
                     0u64,
                     Bravo::new(TicketRwLock::new(THREADS)),
                     THREADS,
                 ));
                 let res = run_async_mixed(Arc::clone(&lock), workload, SEED);
-                ops += res.ops;
-                secs += res.elapsed.as_secs_f64();
-                wakeups += lock.wakeups();
-                if !lock.is_quiescent() || !lock.raw().is_quiescent() {
-                    failures.push(format!("async-bravo-ticket @ {read_pct}% reads: not quiescent"));
+                if timed {
+                    wakeups += lock.wakeups();
+                    if !lock.is_quiescent() || !lock.raw().is_quiescent() {
+                        failures
+                            .push(format!("async-bravo-ticket @ {read_pct}% reads: not quiescent"));
+                    }
                 }
-            }
+                res
+            });
             table.row(vec![
                 "async-bravo-ticket-rw".into(),
                 "park".into(),
                 read_pct.to_string(),
-                ops.to_string(),
-                format!("{:.1}", ops as f64 / secs),
+                res.ops.to_string(),
+                format!("{:.1}", res.ops_per_sec()),
                 wakeups.to_string(),
             ]);
         }
@@ -149,30 +131,24 @@ fn main() {
     for read_pct in [95u32, 99, 100] {
         let workload =
             Workload { threads: THREADS, read_ratio: f64::from(read_pct) / 100.0, ops_per_thread };
-        let mut ops = 0u64;
-        let mut secs = 0f64;
         let mut wakeups = 0u64;
-        run_async_read_mostly(
-            Arc::new(AsyncRwLock::with_raw(0u64, MwmrStarvationFree::new(THREADS))),
-            workload,
-            SEED,
-        );
-        for _ in 0..reps {
+        let res = summed_throughput(reps, |timed| {
             let lock = Arc::new(AsyncRwLock::with_raw(0u64, MwmrStarvationFree::new(THREADS)));
             let res = run_async_read_mostly(Arc::clone(&lock), workload, SEED);
-            ops += res.ops;
-            secs += res.elapsed.as_secs_f64();
-            wakeups += lock.wakeups();
-            if !lock.is_quiescent() || !lock.raw().is_quiescent() {
-                failures.push(format!("async-fig3-sf @ {read_pct}% reads: not quiescent"));
+            if timed {
+                wakeups += lock.wakeups();
+                if !lock.is_quiescent() || !lock.raw().is_quiescent() {
+                    failures.push(format!("async-fig3-sf @ {read_pct}% reads: not quiescent"));
+                }
             }
-        }
+            res
+        });
         table.row(vec![
             "async-fig3-sf".into(),
             "park+blocking-writer".into(),
             read_pct.to_string(),
-            ops.to_string(),
-            format!("{:.1}", ops as f64 / secs),
+            res.ops.to_string(),
+            format!("{:.1}", res.ops_per_sec()),
             wakeups.to_string(),
         ]);
     }

@@ -27,6 +27,7 @@
 
 use rmr_baselines::{StdRwLock, TicketRwLock};
 use rmr_bench::cli::{BenchArgs, Table};
+use rmr_bench::timing::summed_throughput;
 use rmr_bench::workloads::{run_read_mostly, Workload};
 use rmr_bravo::{Bravo, BravoConfig};
 use rmr_core::raw::RawRwLock;
@@ -49,22 +50,13 @@ fn throughput_row<L: RawRwLock + 'static>(
 ) {
     let workload =
         Workload { threads: THREADS, read_ratio: f64::from(read_pct) / 100.0, ops_per_thread };
-    // Warm-up rep (also an exclusion check: run_read_mostly panics on a
-    // lost update).
-    run_read_mostly(Arc::new(make()), workload, SEED);
-    let mut ops = 0u64;
-    let mut secs = 0f64;
-    for _ in 0..reps {
-        let res = run_read_mostly(Arc::new(make()), workload, SEED);
-        ops += res.ops;
-        secs += res.elapsed.as_secs_f64();
-    }
+    let res = summed_throughput(reps, |_| run_read_mostly(Arc::new(make()), workload, SEED));
     table.row(vec![
         name.to_string(),
         if wrapped { "bravo" } else { "bare" }.to_string(),
         read_pct.to_string(),
-        ops.to_string(),
-        format!("{:.1}", ops as f64 / secs),
+        res.ops.to_string(),
+        format!("{:.1}", res.ops_per_sec()),
     ]);
 }
 

@@ -31,6 +31,7 @@
 
 use rmr_baselines::{StdRwLock, TicketRwLock};
 use rmr_bench::cli::{BenchArgs, Table};
+use rmr_bench::timing::summed_throughput;
 use rmr_bench::workloads::{run_read_mostly, run_snapshot_read_mostly, Workload};
 use rmr_bravo::Bravo;
 use rmr_core::mwmr::MwmrStarvationFree;
@@ -53,21 +54,12 @@ fn snapshot_row<P: RetirePolicy + Copy>(
 ) {
     let workload = Workload { threads: THREADS, read_ratio: read_pct / 100.0, ops_per_thread };
     let make = || Arc::new(Snapshot::with_raw(0u64, MwmrStarvationFree::new(THREADS), policy));
-    // Warm-up rep (also the exclusion check: the driver panics on a lost
-    // update).
-    run_snapshot_read_mostly(make(), workload, SEED);
-    let mut ops = 0u64;
-    let mut secs = 0f64;
-    for _ in 0..reps {
-        let res = run_snapshot_read_mostly(make(), workload, SEED);
-        ops += res.ops;
-        secs += res.elapsed.as_secs_f64();
-    }
+    let res = summed_throughput(reps, |_| run_snapshot_read_mostly(make(), workload, SEED));
     table.row(vec![
         name.to_string(),
         format!("{read_pct}"),
-        ops.to_string(),
-        format!("{:.1}", ops as f64 / secs),
+        res.ops.to_string(),
+        format!("{:.1}", res.ops_per_sec()),
     ]);
 }
 
@@ -80,19 +72,12 @@ fn lock_row<L: RawRwLock + 'static>(
     reps: u32,
 ) {
     let workload = Workload { threads: THREADS, read_ratio: read_pct / 100.0, ops_per_thread };
-    run_read_mostly(Arc::new(make()), workload, SEED);
-    let mut ops = 0u64;
-    let mut secs = 0f64;
-    for _ in 0..reps {
-        let res = run_read_mostly(Arc::new(make()), workload, SEED);
-        ops += res.ops;
-        secs += res.elapsed.as_secs_f64();
-    }
+    let res = summed_throughput(reps, |_| run_read_mostly(Arc::new(make()), workload, SEED));
     table.row(vec![
         name.to_string(),
         format!("{read_pct}"),
-        ops.to_string(),
-        format!("{:.1}", ops as f64 / secs),
+        res.ops.to_string(),
+        format!("{:.1}", res.ops_per_sec()),
     ]);
 }
 

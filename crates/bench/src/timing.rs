@@ -1,10 +1,29 @@
-//! The uncontended-passage estimator shared by the latency tables (E18
-//! `uncontended_table`, E19 `obs_table`) and the `bench_summary`
-//! trajectory blob.
+//! The estimators shared by the experiment binaries: the uncontended-
+//! passage estimator of the latency tables (E18 `uncontended_table`, E19
+//! `obs_table`) and the `bench_summary` trajectory blob, and the summed
+//! throughput estimator of the tier sweeps (E15 `bravo_table`, E16
+//! `async_table`, E17 `swap_table`).
 
+use crate::workloads::WorkloadResult;
 use rmr_core::raw::RawRwLock;
 use rmr_core::registry::Pid;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Total ops and total elapsed time over `reps` timed runs, after one
+/// untimed warm-up run. `run(timed)` performs one run; `timed` is false
+/// only for the warm-up, so a caller's per-run bookkeeping can skip it.
+/// The throughput is the result's [`WorkloadResult::ops_per_sec`]: summed
+/// ops over summed time.
+pub fn summed_throughput(reps: u32, mut run: impl FnMut(bool) -> WorkloadResult) -> WorkloadResult {
+    run(false);
+    let mut total = WorkloadResult { ops: 0, elapsed: Duration::ZERO };
+    for _ in 0..reps {
+        let res = run(true);
+        total.ops += res.ops;
+        total.elapsed += res.elapsed;
+    }
+    total
+}
 
 /// Best-of-`reps` (minimum) nanoseconds per `passage`, after `iters / 10`
 /// warm-up passages. An uncontended passage is deterministic work, so

@@ -77,8 +77,9 @@
 //! locks (`Bravo<L>`), and plugs into [`RwLock`], the RMR accounting and
 //! the `rmr-check` schedule explorer unchanged. [`observed::Observed`]
 //! does the same for observability: it reports every passage of any raw
-//! lock to an `rmr-obs` recorder, and the typed front end carries the
-//! same hooks directly ([`RwLock::with_recorder`]).
+//! lock to an `rmr-obs` recorder. It is also the typed front end's only
+//! recorder seam: [`RwLock`] holds its raw lock as `Observed<L, R>`, and
+//! [`RwLock::with_recorder`] just swaps the recorder inside it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

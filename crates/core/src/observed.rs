@@ -1,9 +1,11 @@
 //! [`Observed`] — a capability-preserving raw-lock wrapper that reports
 //! every passage to an [`rmr_obs::Recorder`].
 //!
-//! This is the instrumentation story for code that works at the *raw*
-//! tier (the bench workload drivers, compositions like
-//! `Observed<Bravo<…>>`): wrap any [`RawRwLock`] and every acquire,
+//! This is the one recorder seam of the guard tier. The typed front end
+//! stores its raw lock as `Observed<L, R>`, so [`RwLock`](crate::RwLock)
+//! records through these hooks and no others; code at the raw tier (the
+//! bench workload drivers, compositions like `Observed<Bravo<…>>`) wraps
+//! its lock by hand. Wrap any [`RawRwLock`] and every acquire,
 //! release and bounded attempt is counted and classified
 //! contended-vs-uncontended, and the acquisitions the recorder samples
 //! ([`Recorder::sample`]) are latency-histogrammed — while the
@@ -31,6 +33,10 @@
 //! at least one futile spin iteration is contended. The bounded try
 //! tier gives the second contention signal ([`Event::TryReadFail`] /
 //! [`Event::TryWriteFail`] rates).
+//!
+//! A release hook runs after the inner unlock: a recorder that panics
+//! there leaves the inner lock released, and the panic unwinds to the
+//! caller (see [`Recorder`] for what that means to a typed guard).
 
 use crate::raw::{RawMultiWriter, RawRwLock, RawTryReadLock, RawTryRwLock};
 use crate::registry::Pid;
@@ -40,14 +46,14 @@ use std::fmt;
 
 /// Begin-of-acquisition state: the recorder clock, when this passage is
 /// sampled, and this thread's spin tally. Only taken when `R::ENABLED`.
-pub(crate) struct AcquireSample {
+struct AcquireSample {
     t0: Option<u64>,
     spins0: u64,
 }
 
 /// Samples the spin tally before a blocking acquisition, and the clock
 /// too when the recorder times this passage ([`Recorder::sample`]).
-pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize) -> AcquireSample {
+fn acquire_begin<R: Recorder>(rec: &R, pid: usize) -> AcquireSample {
     AcquireSample { t0: rec.sample(pid).then(|| rec.now()), spins0: spin::thread_spin_tally() }
 }
 
@@ -55,7 +61,7 @@ pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize) -> AcquireSample {
 /// contended classification + spin count (when any iteration was
 /// futile) — all exact on every passage — and, for a sampled passage,
 /// the latency sample.
-pub(crate) fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: AcquireSample) {
+fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: AcquireSample) {
     let spun = spin::thread_spin_tally().saturating_sub(s.spins0);
     rec.count(pid, if write { Event::WriteAcquire } else { Event::ReadAcquire });
     if spun > 0 {
@@ -277,6 +283,32 @@ mod tests {
         writer.join().unwrap();
         assert_eq!(rec.counter(Event::WriteContended), 1);
         assert!(rec.counter(Event::SpinSteps) > 0);
+    }
+
+    #[test]
+    fn noop_observed_adds_no_layout() {
+        use crate::registry::PidRegistry;
+        use crate::swmr::SwmrWriterPriority;
+        use crate::RwLock;
+        use std::cell::UnsafeCell;
+        use std::mem::{align_of, size_of};
+
+        fn same_layout<L>() {
+            assert_eq!(size_of::<Observed<L, NoopRecorder>>(), size_of::<L>());
+            assert_eq!(align_of::<Observed<L, NoopRecorder>>(), align_of::<L>());
+        }
+        // Fig. 1, Fig. 3, and Bravo over Fig. 3 (`Bravo` puts no bound on
+        // its inner type, so this is its layout over this crate's Fig. 3).
+        same_layout::<SwmrWriterPriority>();
+        same_layout::<MwmrStarvationFree>();
+        same_layout::<rmr_bravo::Bravo<MwmrStarvationFree>>();
+
+        // The typed front end is no larger than its own fields need: the
+        // `Observed` wrapper around the raw lock costs no bytes.
+        #[allow(dead_code)]
+        struct Fields(MwmrStarvationFree, Arc<PidRegistry>, UnsafeCell<u64>);
+        assert!(size_of::<RwLock<u64, MwmrStarvationFree>>() <= size_of::<Fields>());
+        assert_eq!(align_of::<RwLock<u64, MwmrStarvationFree>>(), align_of::<Fields>());
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! exposes [`RwLock::try_read`] / [`RwLock::try_write`].
 
 use crate::mwmr::{MwmrReaderPriority, MwmrStarvationFree, MwmrWriterPriority};
-use crate::observed::{acquire_begin, acquire_end};
+use crate::observed::Observed;
 use crate::raw::{RawMultiWriter, RawRwLock, RawTryReadLock, RawTryRwLock};
 use crate::registry::{Pid, PidRegistry, RegistryFull};
-use rmr_obs::{Event, NoopRecorder, Recorder};
+use rmr_obs::{NoopRecorder, Recorder};
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::fmt;
 use std::marker::PhantomData;
@@ -207,17 +207,19 @@ pub fn release_pid(registry: &Arc<PidRegistry>, pid: Pid, source: PidSource) {
 /// # Observability
 ///
 /// The third type parameter is an `rmr-obs` [`Recorder`], defaulted to
-/// [`NoopRecorder`]: every hook sits behind `if R::ENABLED { … }`, which
-/// const-folds away, so the default lock is bit-identical to the
-/// uninstrumented one (the `Counting` backend proves it op for op).
+/// [`NoopRecorder`]. The lock holds its raw lock as
+/// [`Observed<L, R>`](Observed), and every passage — leased or handle,
+/// blocking or try, and the single-writer endpoints — goes through that
+/// one wrapper, so the guard tier has exactly one recorder seam. With the
+/// default recorder `Observed` is plain forwarding, and the default lock
+/// is op-for-op the uninstrumented one (the `Counting` backend proves it).
 /// [`RwLock::with_recorder`] swaps in a live recorder — typically an
 /// `Arc<StatsRecorder>` — and every passage is then counted and
 /// classified contended/uncontended, and the passages the recorder
 /// samples ([`Recorder::sample`]) are latency-histogrammed.
 pub struct RwLock<T: ?Sized, L, R = NoopRecorder> {
-    pub(crate) raw: L,
+    pub(crate) raw: Observed<L, R>,
     pub(crate) registry: Arc<PidRegistry>,
-    pub(crate) recorder: R,
     // Must stay the last field: `T: ?Sized` requires the unsized field in
     // tail position.
     pub(crate) data: UnsafeCell<T>,
@@ -300,9 +302,8 @@ impl<T, L: RawRwLock> RwLock<T, L> {
             raw.max_processes()
         );
         Self {
-            raw,
+            raw: Observed::new(raw, NoopRecorder),
             registry: Arc::new(PidRegistry::new(capacity)),
-            recorder: NoopRecorder,
             data: UnsafeCell::new(value),
         }
     }
@@ -314,7 +315,20 @@ impl<T, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     ///
     /// Builder-style, because the recorder is a *type* parameter — that is
     /// what lets the disabled hooks const-fold to nothing instead of
-    /// costing a runtime branch.
+    /// costing a runtime branch. The recorder goes into the lock's
+    /// [`Observed`] wrapper, replacing the one there; a lock whose raw lock
+    /// is itself an `Observed` (built with [`RwLock::with_raw`]) therefore
+    /// reports every passage to both recorders, and one shared recorder
+    /// would count each passage twice.
+    ///
+    /// # Panicking recorders
+    ///
+    /// A guard's drop releases the raw lock, then runs the release hook,
+    /// then returns its pid. If the hook panics, the raw session is
+    /// already closed and other threads can still acquire, but the pid is
+    /// never returned: a leased pid stays busy and is pinned at thread
+    /// exit, like a leaked guard's, so each such panic costs one pid of
+    /// capacity for the life of the lock.
     ///
     /// # Example
     ///
@@ -330,7 +344,8 @@ impl<T, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// assert_eq!(rec.counter(Event::WriteRelease), 1);
     /// ```
     pub fn with_recorder<R2: Recorder>(self, recorder: R2) -> RwLock<T, L, R2> {
-        RwLock { raw: self.raw, registry: self.registry, recorder, data: self.data }
+        let (raw, _) = self.raw.into_parts();
+        RwLock { raw: Observed::new(raw, recorder), registry: self.registry, data: self.data }
     }
 
     /// Consumes the lock, returning the protected value.
@@ -417,7 +432,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// ```
     pub fn read(&self) -> ReadGuard<'_, T, L, R> {
         let (pid, source) = self.lease().unwrap_or_else(|e| panic!("{}", lease_panic(e)));
-        let token = self.locked_read(pid);
+        let token = self.raw.read_lock(pid);
         self.read_guard(pid, source, token)
     }
 
@@ -434,12 +449,12 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
 
     /// The underlying raw lock.
     pub fn raw(&self) -> &L {
-        &self.raw
+        self.raw.inner()
     }
 
     /// The lock's recorder (the default is the inert [`NoopRecorder`]).
     pub fn recorder(&self) -> &R {
-        &self.recorder
+        self.raw.recorder()
     }
 
     /// Number of threads that may participate simultaneously.
@@ -465,34 +480,6 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// consumed it (the raw try-acquire failed).
     fn unlease(&self, pid: Pid, source: PidSource) {
         release_pid(&self.registry, pid, source);
-    }
-
-    /// The blocking read acquisition, with the observability hooks; shared
-    /// by the leased ([`RwLock::read`]) and pinned ([`LockHandle::read`])
-    /// paths. With the default [`NoopRecorder`] the `R::ENABLED` branch
-    /// const-folds to the bare `read_lock` call.
-    fn locked_read(&self, pid: Pid) -> L::ReadToken {
-        if R::ENABLED {
-            let s = acquire_begin(&self.recorder, pid.index());
-            let token = self.raw.read_lock(pid);
-            acquire_end(&self.recorder, pid.index(), false, s);
-            token
-        } else {
-            self.raw.read_lock(pid)
-        }
-    }
-
-    /// The blocking write acquisition, with the observability hooks —
-    /// see [`RwLock::locked_read`].
-    fn locked_write(&self, pid: Pid) -> L::WriteToken {
-        if R::ENABLED {
-            let s = acquire_begin(&self.recorder, pid.index());
-            let token = self.raw.write_lock(pid);
-            acquire_end(&self.recorder, pid.index(), true, s);
-            token
-        } else {
-            self.raw.write_lock(pid)
-        }
     }
 
     pub(crate) fn read_guard(
@@ -554,7 +541,7 @@ impl<T: ?Sized, L: RawMultiWriter, R: Recorder> RwLock<T, L, R> {
     /// ```
     pub fn write(&self) -> WriteGuard<'_, T, L, R> {
         let (pid, source) = self.lease().unwrap_or_else(|e| panic!("{}", lease_panic(e)));
-        let token = self.locked_write(pid);
+        let token = self.raw.write_lock(pid);
         self.write_guard(pid, source, token)
     }
 
@@ -591,12 +578,7 @@ impl<T: ?Sized, L: RawTryReadLock, R: Recorder> RwLock<T, L, R> {
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_read(&self) -> Option<ReadGuard<'_, T, L, R>> {
         let (pid, source) = self.lease().ok()?;
-        let token = self.raw.try_read_lock(pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryReadOk } else { Event::TryReadFail };
-            self.recorder.count(pid.index(), ev);
-        }
-        match token {
+        match self.raw.try_read_lock(pid) {
             Some(token) => Some(self.read_guard(pid, source, token)),
             None => {
                 self.unlease(pid, source);
@@ -628,12 +610,7 @@ impl<T: ?Sized, L: RawTryRwLock + RawMultiWriter, R: Recorder> RwLock<T, L, R> {
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_write(&self) -> Option<WriteGuard<'_, T, L, R>> {
         let (pid, source) = self.lease().ok()?;
-        let token = self.raw.try_write_lock(pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryWriteOk } else { Event::TryWriteFail };
-            self.recorder.count(pid.index(), ev);
-        }
-        match token {
+        match self.raw.try_write_lock(pid) {
             Some(token) => Some(self.write_guard(pid, source, token)),
             None => {
                 self.unlease(pid, source);
@@ -674,7 +651,7 @@ impl<'l, T: ?Sized, L: RawRwLock, R: Recorder> LockHandle<'l, T, L, R> {
 
     /// Acquires the lock for reading.
     pub fn read(&mut self) -> ReadGuard<'_, T, L, R> {
-        let token = self.lock.locked_read(self.pid);
+        let token = self.lock.raw.read_lock(self.pid);
         self.lock.read_guard(self.pid, PidSource::Handle, token)
     }
 
@@ -692,7 +669,7 @@ impl<'l, T: ?Sized, L: RawMultiWriter, R: Recorder> LockHandle<'l, T, L, R> {
     /// (the single-writer algorithms go through
     /// [`SwmrWriter`](crate::swmr_rwlock::SwmrWriter) instead).
     pub fn write(&mut self) -> WriteGuard<'_, T, L, R> {
-        let token = self.lock.locked_write(self.pid);
+        let token = self.lock.raw.write_lock(self.pid);
         self.lock.write_guard(self.pid, PidSource::Handle, token)
     }
 
@@ -717,12 +694,8 @@ impl<'l, T: ?Sized, L: RawTryReadLock, R: Recorder> LockHandle<'l, T, L, R> {
     /// ```
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_read(&mut self) -> Option<ReadGuard<'_, T, L, R>> {
-        let token = self.lock.raw.try_read_lock(self.pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryReadOk } else { Event::TryReadFail };
-            self.lock.recorder.count(self.pid.index(), ev);
-        }
-        Some(self.lock.read_guard(self.pid, PidSource::Handle, token?))
+        let token = self.lock.raw.try_read_lock(self.pid)?;
+        Some(self.lock.read_guard(self.pid, PidSource::Handle, token))
     }
 }
 
@@ -730,12 +703,8 @@ impl<'l, T: ?Sized, L: RawTryRwLock + RawMultiWriter, R: Recorder> LockHandle<'l
     /// Attempts to acquire the lock for writing without blocking.
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_write(&mut self) -> Option<WriteGuard<'_, T, L, R>> {
-        let token = self.lock.raw.try_write_lock(self.pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryWriteOk } else { Event::TryWriteFail };
-            self.lock.recorder.count(self.pid.index(), ev);
-        }
-        Some(self.lock.write_guard(self.pid, PidSource::Handle, token?))
+        let token = self.lock.raw.try_write_lock(self.pid)?;
+        Some(self.lock.write_guard(self.pid, PidSource::Handle, token))
     }
 }
 
@@ -790,9 +759,6 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> Drop for ReadGuard<'_, T, L, R> {
     fn drop(&mut self) {
         let token = self.token.take().expect("read token taken twice");
         self.lock.raw.read_unlock(self.pid, token);
-        if R::ENABLED {
-            self.lock.recorder.count(self.pid.index(), Event::ReadRelease);
-        }
         release_pid(&self.lock.registry, self.pid, self.source);
     }
 }
@@ -842,9 +808,6 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> Drop for WriteGuard<'_, T, L, R> {
     fn drop(&mut self) {
         let token = self.token.take().expect("write token taken twice");
         self.lock.raw.write_unlock(self.pid, token);
-        if R::ENABLED {
-            self.lock.recorder.count(self.pid.index(), Event::WriteRelease);
-        }
         release_pid(&self.lock.registry, self.pid, self.source);
     }
 }
@@ -1096,6 +1059,42 @@ mod tests {
         // two of its reads.
         assert_eq!(rec.samples(Metric::WriteAcquireNs), 1);
         assert_eq!(rec.samples(Metric::ReadAcquireNs), 2);
+    }
+
+    #[test]
+    fn panicking_release_hook_pins_the_leased_pid() {
+        use rmr_obs::{Event, Metric};
+        /// Counts nothing, and panics on every read release.
+        struct PanicOnReadRelease;
+        impl Recorder for PanicOnReadRelease {
+            const ENABLED: bool = true;
+            fn now(&self) -> u64 {
+                0
+            }
+            fn add(&self, _pid: usize, event: Event, _n: u64) {
+                assert!(event != Event::ReadRelease, "recorder panicked on ReadRelease");
+            }
+            fn record(&self, _pid: usize, _metric: Metric, _value: u64) {}
+        }
+
+        let lock = Arc::new(RwLock::starvation_free(0u32, 2).with_recorder(PanicOnReadRelease));
+        let l2 = Arc::clone(&lock);
+        std::thread::spawn(move || {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drop(l2.read());
+            }));
+            assert!(unwound.is_err(), "the release hook must have panicked");
+        })
+        .join()
+        .unwrap();
+        // The raw read session was closed before the hook ran, but the
+        // unwind skipped the pid release: the lease stays busy and is
+        // pinned at thread exit, like a leaked guard's.
+        assert_eq!(lock.registered(), 1, "the leased pid stays pinned");
+        let l3 = Arc::clone(&lock);
+        std::thread::spawn(move || *l3.write() += 1).join().unwrap();
+        assert_eq!(lock.registered(), 1);
+        assert!(lock.raw().is_quiescent());
     }
 
     #[test]

@@ -184,6 +184,15 @@ pub const SAMPLE_EVERY: u64 = 64;
 ///
 /// `ENABLED` is the zero-cost switch: hook sites compile to
 /// `if R::ENABLED { … }`, which the no-op recorder const-folds away.
+///
+/// Implementations should not panic. If one does in a release hook, the
+/// lock stays usable but the passage's pid is lost. On the guard tier
+/// (`rmr-core`'s `Observed`, which `RwLock` guards release through) the
+/// hook runs after the inner unlock and before the guard returns its pid:
+/// the raw session is closed, but a thread-leased pid stays busy and is
+/// pinned at thread exit, like a leaked guard's, and a transient pid is
+/// never returned to the registry. A `LockHandle`'s pid is unaffected;
+/// the handle still returns it when dropped.
 pub trait Recorder: Send + Sync {
     /// Whether this recorder observes anything at all. Hook sites guard
     /// every recording (including `now()` calls) with this constant.
